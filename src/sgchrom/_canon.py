@@ -13,18 +13,13 @@ from __future__ import annotations
 PairStates = dict[tuple[int, int], int]
 
 
-def _state(pairs: PairStates, u: int, v: int) -> int:
-    if u == v:
-        return 0
-    return pairs.get((min(u, v), max(u, v)), 0)
-
-
-def _refine(n: int, pairs: PairStates, colors: list[int]) -> list[int]:
+def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
+    n = len(adj)
     while True:
         sigs = []
         for v in range(n):
-            row = sorted((colors[u], _state(pairs, u, v)) for u in range(n) if u != v and _state(pairs, u, v))
-            sigs.append((colors[v], tuple(row)))
+            row = adj[v]
+            sigs.append((colors[v], tuple(sorted((colors[u], row[u]) for u in range(n) if row[u]))))
         order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = [order[s] for s in sigs]
         if new == colors:
@@ -32,25 +27,19 @@ def _refine(n: int, pairs: PairStates, colors: list[int]) -> list[int]:
         colors = new
 
 
-def _encode(n: int, pairs: PairStates, lab: list[int]) -> tuple:
-    """Upper-triangle state vector of the relabeled graph (lab: old->new)."""
-    inv = [0] * n
-    for old, new in enumerate(lab):
-        inv[new] = old
-    return tuple(
-        _state(pairs, inv[i], inv[j]) for i in range(n) for j in range(i + 1, n)
-    )
-
-
 def canonical_form(n: int, pairs: PairStates):
-    """Return (code, labelings) where code is the minimal encoding and
-    labelings are all old->new maps achieving it."""
+    """Return (code, labelings) where code is the minimal encoding (the
+    upper-triangle state vector of the relabeled graph) and labelings are
+    all old->new maps achieving it."""
     if n == 0:
         return ((), [[]])
+    adj = [[0] * n for _ in range(n)]
+    for (a, b), st in pairs.items():
+        adj[a][b] = adj[b][a] = st
     leaves: list[tuple[tuple, list[int]]] = []
 
     def descend(colors: list[int]):
-        colors = _refine(n, pairs, colors)
+        colors = _refine(adj, colors)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
@@ -60,10 +49,12 @@ def canonical_form(n: int, pairs: PairStates):
                 target = cells[c]
                 break
         if target is None:
-            lab = [0] * n
-            for v in range(n):
-                lab[v] = colors[v]
-            leaves.append((_encode(n, pairs, lab), lab))
+            # Discrete partition: the colors are the labeling old -> new.
+            inv = [0] * n
+            for old, new in enumerate(colors):
+                inv[new] = old
+            code = tuple(adj[inv[i]][inv[j]] for i in range(n) for j in range(i + 1, n))
+            leaves.append((code, colors))
             return
         for v in target:
             # Individualized vertex gets a strictly smaller color so the
@@ -78,29 +69,15 @@ def canonical_form(n: int, pairs: PairStates):
     return best, labs
 
 
-def canonical_key(n: int, pairs: PairStates) -> tuple:
-    code, _ = canonical_form(n, pairs)
-    return (n, code)
+def automorphisms(labs: list[list[int]]) -> list[tuple[int, ...]]:
+    """Automorphism group of the canonical graph, the input relabeled by
+    min(labs), given the labelings ``canonical_form`` returned for it.
 
-
-def canonical_relabeling(n: int, pairs: PairStates) -> list[int]:
-    """One deterministic old->new labeling achieving the canonical code."""
-    _, labs = canonical_form(n, pairs)
-    return min(labs)
-
-
-def automorphisms(n: int, pairs: PairStates) -> list[tuple[int, ...]]:
-    """Every vertex permutation preserving all pair states."""
-    _, labs = canonical_form(n, pairs)
-    base = labs[0]
-    inv_base = [0] * n
+    Every lab sends the input onto the same code, so lab o min(labs)^-1
+    fixes the canonical graph; the search visits every leaf, so these
+    are all of its automorphisms."""
+    base = min(labs)
+    inv_base = [0] * len(base)
     for old, new in enumerate(base):
         inv_base[new] = old
-    auts = []
-    for lab in labs:
-        # lab and base both send the graph to the same code, so
-        # base^{-1} o lab fixes it.
-        perm = tuple(inv_base[lab[v]] for v in range(n))
-        auts.append(perm)
-    seen = sorted(set(auts))
-    return seen
+    return sorted({tuple(lab[old] for old in inv_base) for lab in labs})

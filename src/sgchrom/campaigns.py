@@ -26,6 +26,9 @@ from .core import (
     NEG,
     POS,
     SignedMultigraph,
+    bfs_forest,
+    canonical_signature,
+    components,
     contains_switching_subgraph,
     format_graph_text,
     is_switching_isomorphic,
@@ -94,17 +97,15 @@ class CampaignReport:
 # -- underlying multigraph enumeration --------------------------------------
 
 
-def _pair_states(g: SignedMultigraph) -> _canon.PairStates:
-    return {pair: len(sig) for pair, sig in g.pair_signs().items()}
-
-
 def _underlying_classes(n: int, states: tuple[int, ...], max_degree: Optional[int]):
-    """Canonical representatives (as pair-state dicts) of all multigraphs
-    on exactly 2..n vertices with per-pair states drawn from ``states``,
-    grown by vertex augmentation from the single-vertex graph."""
+    """Canonical representatives of all multigraphs on exactly 2..n
+    vertices with per-pair states drawn from ``states``, grown by vertex
+    augmentation from the single-vertex graph.  Each representative is a
+    (pair-state dict, automorphism group) couple; one canonical-form
+    search per augmentation child gives both."""
     reps: list[_canon.PairStates] = [{}]  # the 1-vertex graph
     for size in range(2, n + 1):
-        nxt: dict[tuple, _canon.PairStates] = {}
+        nxt: dict[tuple, tuple[_canon.PairStates, list]] = {}
         for parent in reps:
             deg = [0] * (size - 1)
             for (a, b), st in parent.items():
@@ -121,74 +122,30 @@ def _underlying_classes(n: int, states: tuple[int, ...], max_degree: Optional[in
                 for u, st in enumerate(vec):
                     if st:
                         pairs[(u, size - 1)] = st
-                key = _canon.canonical_key(size, pairs)
-                if key not in nxt:
-                    lab = _canon.canonical_relabeling(size, pairs)
+                code, labs = _canon.canonical_form(size, pairs)
+                if code not in nxt:
+                    lab = min(labs)
                     canon = {}
                     for (a, b), st in pairs.items():
                         x, y = lab[a], lab[b]
                         canon[(min(x, y), max(x, y))] = st
-                    nxt[key] = canon
-        reps = list(nxt.values())
-        yield size, reps
-    return
+                    nxt[code] = (canon, _canon.automorphisms(labs))
+        yield size, list(nxt.values())
+        reps = [canon for canon, _ in nxt.values()]
 
 
-def _is_connected_states(n: int, pairs: _canon.PairStates) -> bool:
-    if n <= 1:
-        return True
-    adj = {v: [] for v in range(n)}
-    for (a, b) in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
-
-
-def _bfs_forest_pairs(n: int, single_pairs) -> list[tuple[int, int]]:
-    """BFS spanning forest of the single-edge pairs, lowest roots first;
-    mirrors the forest used by canonical signature normalization."""
-    adj = {v: [] for v in range(n)}
-    for (a, b) in single_pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in adj:
-        adj[v].sort()
-    seen = [False] * n
-    forest = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    forest.append((min(u, w), max(u, w)))
-                    queue.append(w)
-    return forest
-
-
-def _signature_classes(n: int, pairs: _canon.PairStates) -> list[SignedMultigraph]:
+def _signature_classes(
+    n: int, pairs: _canon.PairStates, auts: list[tuple[int, ...]]
+) -> list[SignedMultigraph]:
     """One signed representative per switching-isomorphism class over a
-    fixed underlying multigraph: orbits of cotree sign vectors under the
-    automorphism group."""
-    from .core import canonical_signature  # local import to keep module load light
-
+    fixed underlying multigraph: orbits of cotree sign vectors under its
+    automorphism group ``auts``."""
     singles = sorted(p for p, st in pairs.items() if st == 1)
     digons = sorted(p for p, st in pairs.items() if st == 2)
-    forest = set(_bfs_forest_pairs(n, singles))
+    # The forest canonical_signature switches positive, so every class
+    # has a representative among these cotree sign vectors.
+    forest = {(min(u, w), max(u, w)) for (u, w) in bfs_forest(n, singles)}
     cotree = [p for p in singles if p not in forest]
-    auts = _canon.automorphisms(n, pairs)
     reps: list[SignedMultigraph] = []
     seen: set = set()
     for bits in itertools.product((POS, NEG), repeat=len(cotree)):
@@ -215,10 +172,10 @@ def enumerate_signed(spec: EnumSpec) -> Iterator[SignedMultigraph]:
     states = (0, 1, 2) if spec.allow_digons else (0, 1)
     yield SignedMultigraph(1, ())
     for size, reps in _underlying_classes(spec.n_max, states, spec.max_degree):
-        for pairs in reps:
-            if spec.connected and not _is_connected_states(size, pairs):
+        for pairs, auts in reps:
+            if spec.connected and len(components(size, pairs)) > 1:
                 continue
-            for g in _signature_classes(size, pairs):
+            for g in _signature_classes(size, pairs, auts):
                 yield g
 
 

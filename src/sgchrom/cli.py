@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import campaigns, catalog, lists
 from .clique import CliqueParams, color_from_label
 from .core import GraphError, format_graph_text, parse_graph_text
-from .criticality import is_critical, potential
+from .criticality import critical_check, potential
 from .solver import (
     CeilingExhausted,
     Homomorphism,
@@ -25,7 +25,6 @@ from .solver import (
     SearchDeadlineExceeded,
     chi_c,
     find_sp_hom,
-    is_colorable,
     verify_hom,
 )
 
@@ -124,6 +123,7 @@ def main(argv=None) -> int:
 
     p_emit = sub.add_parser("emit", help="shorthand for 'catalog emit NAME'")
     p_emit.add_argument("name")
+    p_emit.set_defaults(action="emit")
 
     p_lem = sub.add_parser("verify-lemma", help="exhaustively verify one list lemma")
     p_lem.add_argument("id", choices=lists.LEMMA_IDS)
@@ -192,7 +192,7 @@ def _dispatch(args) -> int:
         _emit({"valid": valid, "p": args.p, "q": args.q}, fmt)
         return EXIT_OK if valid else EXIT_MATH_FAIL
 
-    if args.command == "catalog":
+    if args.command in ("catalog", "emit"):
         if args.action == "list":
             rows = []
             for name in catalog.names():
@@ -212,11 +212,6 @@ def _dispatch(args) -> int:
         if not args.name:
             print("error: catalog emit needs a name", file=sys.stderr)
             return EXIT_USAGE
-        ng = catalog.build(args.name)
-        sys.stdout.write(format_graph_text(ng.graph, comment=f"{ng.name}: {ng.description}"))
-        return EXIT_OK
-
-    if args.command == "emit":
         ng = catalog.build(args.name)
         sys.stdout.write(format_graph_text(ng.graph, comment=f"{ng.name}: {ng.description}"))
         return EXIT_OK
@@ -242,27 +237,16 @@ def _dispatch(args) -> int:
 
     if args.command == "critical-check":
         g = _read_graph(args.graph)
-        pr = CliqueParams(args.p, args.q)
-        base_colorable = is_colorable(g, pr, deadline_s=args.deadline_s)
-        per_edge = []
-        if not base_colorable:
-            from .criticality import _without_edge
-
-            for i in range(g.m):
-                per_edge.append(
-                    {
-                        "edge": list(g.edges[i][:2]) + [g.edges[i][2]],
-                        "colorable_without": is_colorable(_without_edge(g, i), pr, deadline_s=args.deadline_s),
-                    }
-                )
-        critical = is_critical(g, pr, deadline_s=args.deadline_s)
+        colorable, per_edge, critical = critical_check(g, CliqueParams(args.p, args.q), deadline_s=args.deadline_s)
         _emit(
             {
                 "p": args.p,
                 "q": args.q,
-                "colorable": base_colorable,
+                "colorable": colorable,
                 "critical": critical,
-                "per_edge": per_edge,
+                "per_edge": [
+                    {"edge": list(e), "colorable_without": ok} for e, ok in zip(g.edges, per_edge)
+                ],
             },
             fmt,
         )

@@ -12,6 +12,7 @@ new graph.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -197,21 +198,74 @@ def cycle_sign(g: SignedMultigraph, walk: Sequence[int]) -> int:
     raise GraphError("edge sequence is not a closed walk")
 
 
+def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Sorted neighbor lists of the graph on 0..n-1 with edges ``pairs``."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for (a, b) in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    for row in adj:
+        row.sort()
+    return adj
+
+
+def components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the graph on 0..n-1 with edges ``pairs``,
+    ordered by their lowest vertex (each component starts with it)."""
+    adj = _adjacency(n, pairs)
+    seen = [False] * n
+    comps = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        stack = [root]
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
+def bfs_forest(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Tree edges (parent, child) of the BFS spanning forest of the graph
+    on 0..n-1 with edges ``pairs``, in visiting order: lowest root first,
+    neighbors in increasing order, first in first out."""
+    adj = _adjacency(n, pairs)
+    seen = [False] * n
+    forest = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    forest.append((u, w))
+                    queue.append(w)
+    return forest
+
+
 def _flip(sig: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted((-s for s in sig), reverse=True))
 
 
-def _pair_constraints(g1: SignedMultigraph, g2: SignedMultigraph):
-    """Per-pair switching constraints between two signatures of one graph.
+def _pair_constraints(p1: dict, p2: dict):
+    """Per-pair switching constraints between two signatures of one graph,
+    given as ``pair_signs()`` dicts over the same pairs.
 
     Returns a list of (u, v, parity) constraints meaning x_u xor x_v =
     parity, or None if some pair cannot be matched by any switching.
     Digon-like pairs (sign multiset invariant under flipping) impose no
     constraint.
     """
-    p1, p2 = g1.pair_signs(), g2.pair_signs()
-    if set(p1) != set(p2):
-        return None
     constraints = []
     for pair, sig1 in p1.items():
         sig2 = p2[pair]
@@ -225,6 +279,32 @@ def _pair_constraints(g1: SignedMultigraph, g2: SignedMultigraph):
     return constraints
 
 
+def _parity_coloring(n: int, constraints) -> Optional[list[int]]:
+    """A 0/1 coloring x of 0..n-1 with x_u xor x_v = parity for every
+    (u, v, parity) constraint, or None if none exists.  The lowest vertex
+    of each constraint component gets 0."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v, parity) in constraints:
+        adj[u].append((v, parity))
+        adj[v].append((u, parity))
+    colour = [-1] * n
+    for root in range(n):
+        if colour[root] != -1:
+            continue
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for (v, parity) in adj[u]:
+                want = colour[u] ^ parity
+                if colour[v] == -1:
+                    colour[v] = want
+                    stack.append(v)
+                elif colour[v] != want:
+                    return None
+    return colour
+
+
 def switching_set(g1: SignedMultigraph, g2: SignedMultigraph) -> Optional[frozenset[int]]:
     """A vertex set X with switch(g1, X) sign-equal to g2, or None.
 
@@ -234,37 +314,17 @@ def switching_set(g1: SignedMultigraph, g2: SignedMultigraph) -> Optional[frozen
     """
     if g1.n != g2.n:
         raise GraphError("underlying graphs differ: vertex counts")
-    if g1.loop_signs() != g2.loop_signs():
-        ps1, ps2 = g1.pair_signs(), g2.pair_signs()
-        if {k: len(v) for k, v in ps1.items()} != {k: len(v) for k, v in ps2.items()}:
-            raise GraphError("underlying graphs differ: edge multiplicities")
-        return None
     ps1, ps2 = g1.pair_signs(), g2.pair_signs()
     if {k: len(v) for k, v in ps1.items()} != {k: len(v) for k, v in ps2.items()}:
         raise GraphError("underlying graphs differ: edge multiplicities")
-    constraints = _pair_constraints(g1, g2)
+    if g1.loop_signs() != g2.loop_signs():
+        return None
+    constraints = _pair_constraints(ps1, ps2)
     if constraints is None:
         return None
-    # 2-color the constraint graph by BFS; roots stay unswitched.
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g1.n)}
-    for (u, v, parity) in constraints:
-        adj[u].append((v, parity))
-        adj[v].append((u, parity))
-    colour = [-1] * g1.n
-    for root in range(g1.n):
-        if colour[root] != -1:
-            continue
-        colour[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            for (v, parity) in adj[u]:
-                want = colour[u] ^ parity
-                if colour[v] == -1:
-                    colour[v] = want
-                    queue.append(v)
-                elif colour[v] != want:
-                    return None
+    colour = _parity_coloring(g1.n, constraints)
+    if colour is None:
+        return None
     return frozenset(v for v in range(g1.n) if colour[v] == 1)
 
 
@@ -292,32 +352,14 @@ def canonical_signature(g: SignedMultigraph) -> SignedMultigraph:
     # Only pairs whose sign multiset changes under flipping constrain the
     # switch parity; digons are invariant.
     orientable = {p: sig for p, sig in pairs.items() if sig != _flip(sig)}
-    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for (a, b) in orientable:
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in adj:
-        adj[v].sort()
     parity = [0] * g.n
-    seen = [False] * g.n
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in adj[u]:
-                if seen[w]:
-                    continue
-                seen[w] = True
-                sig = orientable[(min(u, w), max(u, w))]
-                # Canonical orientation of this pair: the flip with more
-                # positives (never a tie on orientable pairs).  The pair
-                # ends up flipped iff parity[u] != parity[w].
-                flip_needed = 1 if sum(sig) < sum(_flip(sig)) else 0
-                parity[w] = parity[u] ^ flip_needed
-                queue.append(w)
+    for (u, w) in bfs_forest(g.n, orientable):
+        sig = orientable[(min(u, w), max(u, w))]
+        # Canonical orientation of this pair: the flip with more
+        # positives (never a tie on orientable pairs).  The pair ends up
+        # flipped iff parity[u] != parity[w].
+        flip_needed = 1 if sum(sig) < sum(_flip(sig)) else 0
+        parity[w] = parity[u] ^ flip_needed
     switched = switch(g, [v for v in range(g.n) if parity[v]])
     # Redistribute pair signs onto slots, positives first, for stable output.
     remaining = {p: list(sig) for p, sig in switched.pair_signs().items()}
@@ -483,25 +525,9 @@ def contains_switching_subgraph(
             if fits == {0, 1}:
                 continue
             cons.append((a, b, fits.pop()))
-        colour = [-1] * h.n
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(h.n)}
-        for (u, v, f) in cons:
-            adj[u].append((v, f))
-            adj[v].append((u, f))
-        for root in range(h.n):
-            if colour[root] != -1:
-                continue
-            colour[root] = 0
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for (v, f) in adj[u]:
-                    want = colour[u] ^ f
-                    if colour[v] == -1:
-                        colour[v] = want
-                        stack.append(v)
-                    elif colour[v] != want:
-                        return None
+        colour = _parity_coloring(h.n, cons)
+        if colour is None:
+            return None
         return frozenset(phi[v] for v in range(h.n) if colour[v] == 1)
 
     def candidates(hv: int, depth: int):

@@ -9,10 +9,10 @@ of isolated vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .clique import _params
-from .core import SignedMultigraph
+from .core import SignedMultigraph, components
 from .solver import NegativeLoopError, is_colorable
 
 
@@ -33,25 +33,53 @@ def _isolated(g: SignedMultigraph) -> list[int]:
     return [v for v in range(g.n) if v not in touched]
 
 
-def is_critical(g: SignedMultigraph, params, *, deadline_s: Optional[float] = None) -> bool:
-    """Not colorable, but colorable after deleting any single edge.
+def _critical(g: SignedMultigraph, solved: Iterator[bool]) -> bool:
+    """The criticality rule: not colorable, but colorable after deleting
+    any single edge.
 
-    Isolated vertices disqualify: dropping one is a proper subgraph with
-    the same edges.  Single-edge deletions cover all other proper
-    subgraphs because colorability is monotone under taking subgraphs.
+    ``solved`` yields the colorability of g and then of g minus edge i
+    for i = 0..m-1; it is consumed lazily, so :func:`is_critical` stops
+    solving at the first answer that decides the rule.  Isolated
+    vertices disqualify without a solve: dropping one is a proper
+    subgraph with the same edges.  Single-edge deletions cover all other
+    proper subgraphs because colorability is monotone under taking
+    subgraphs.
     """
-    pr = _params(params)
     if g.has_negative_loop:
         raise NegativeLoopError("criticality is undefined with a negative loop")
-    if _isolated(g) and g.m > 0:
+    if g.m == 0 or _isolated(g):
         return False
-    if g.m == 0:
+    if next(solved):
         return False
-    if is_colorable(g, pr, deadline_s=deadline_s):
-        return False
-    return all(
-        is_colorable(_without_edge(g, i), pr, deadline_s=deadline_s) for i in range(g.m)
-    )
+    return all(solved)
+
+
+def _solves(g: SignedMultigraph, pr, deadline_s: Optional[float]) -> Iterator[bool]:
+    """Colorability of g, then of g minus edge i for i = 0..m-1, each
+    solved only when asked for."""
+    yield is_colorable(g, pr, deadline_s=deadline_s)
+    for i in range(g.m):
+        yield is_colorable(_without_edge(g, i), pr, deadline_s=deadline_s)
+
+
+def is_critical(g: SignedMultigraph, params, *, deadline_s: Optional[float] = None) -> bool:
+    """Not colorable, but colorable after deleting any single edge."""
+    return _critical(g, _solves(g, _params(params), deadline_s))
+
+
+def critical_check(
+    g: SignedMultigraph, params, *, deadline_s: Optional[float] = None
+) -> tuple[bool, list[bool], bool]:
+    """(colorable, colorable without edge i for every i, critical).
+
+    Unlike :func:`is_critical` this solves every single-edge deletion of
+    a non-colorable graph, to report each; a colorable graph gets an
+    empty list.  Each graph is solved once.
+    """
+    solves = _solves(g, _params(params), deadline_s)
+    colorable = next(solves)
+    per_edge = [] if colorable else list(solves)
+    return colorable, per_edge, _critical(g, iter([colorable, *per_edge]))
 
 
 def critical_subgraph(g: SignedMultigraph, params, *, deadline_s: Optional[float] = None) -> SignedMultigraph:
@@ -104,23 +132,9 @@ def is_two_connected(g: SignedMultigraph) -> bool:
         return False
 
     def connected_without(skip: Optional[int]) -> bool:
-        verts = [v for v in range(g.n) if v != skip]
-        if not verts:
-            return True
-        adj = {v: set() for v in verts}
-        for (u, v, _) in g.edges:
-            if u != skip and v != skip and u != v:
-                adj[u].add(v)
-                adj[v].add(u)
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
+        # Deleting ``skip``'s edges leaves it as one extra component.
+        rest = [(u, v) for (u, v, _) in g.edges if skip not in (u, v)]
+        return len(components(g.n, rest)) == 1 + (skip is not None)
 
     if not connected_without(None):
         return False

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .clique import CliqueParams, _params, adjacency, neighbor_mask
-from .core import SignedMultigraph
+from .core import SignedMultigraph, components
 
 
 class NegativeLoopError(ValueError):
@@ -119,26 +119,6 @@ def _static_order(g: SignedMultigraph, vertices: Sequence[int]) -> list[int]:
         placed.add(best)
         rest.discard(best)
     return order
-
-
-def _components(g: SignedMultigraph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        comp = [root]
-        seen[root] = True
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
 
 
 def _search(order, domains, tables, deadline, pr) -> Optional[list[int]]:
@@ -254,7 +234,7 @@ def find_sp_hom(
     tables = _pair_tables(g, pr)
     deadline = _Deadline(deadline_s)
     result = [0] * g.n
-    for comp in _components(g):
+    for comp in components(g.n, ((u, v) for (u, v, _) in g.edges)):
         order = _static_order(g, comp)
         if pin:
             doms[order[0]] = 1  # color 0 only; rotation symmetry

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -115,6 +116,35 @@ class TestEnumerate:
     def test_n_max_cap(self):
         with pytest.raises(ValueError):
             EnumSpec(n_max=11)
+
+    @pytest.mark.parametrize(
+        "spec,count,digest",
+        [
+            (
+                EnumSpec(n_max=5, allow_digons=True),
+                1407,
+                "066301437c382d0d88bb65463745c8dc214077f6fcd834d6b9e410777b523067",
+            ),
+            (
+                EnumSpec(n_max=5, simple=True),
+                126,
+                "3da4bfd34bbe33b17adf77bc38fe9d1ffbaac136121e211c55f0a68eebf3ed28",
+            ),
+            (
+                EnumSpec(n_max=7, simple=True, connected=True, max_degree=3),
+                381,
+                "528497670f8bd7789ee089b3d0d2c61db948260ac01c88c7aecf9eb5369d81f4",
+            ),
+        ],
+        ids=["digons-5", "simple-5", "subcubic-connected-7"],
+    )
+    def test_stream_is_pinned(self, spec, count, digest):
+        """The representatives, their order and their edge lists are part
+        of every campaign report; pin the whole stream."""
+        got = list(enumerate_signed(spec))
+        text = "".join(format_graph_text(g) for g in got)
+        assert len(got) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestTSurjective:

@@ -97,6 +97,9 @@ class TestCatalog:
         assert code == EXIT_OK
         assert parse_graph_text(out) == build("CUBE_NEG").graph
 
+    def test_emit_matches_catalog_emit(self, capsys):
+        assert run_cli(capsys, "emit", "T") == run_cli(capsys, "catalog", "emit", "T")
+
     def test_unknown_name_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "emit", "NOPE")
         assert code == EXIT_USAGE
@@ -135,6 +138,40 @@ class TestCriticalCheck:
         assert doc["critical"] is True
         assert len(doc["per_edge"]) == 2
         assert all(row["colorable_without"] for row in doc["per_edge"])
+
+    def test_k4_minus_solves_each_graph_once(self, tmp_path, capsys, monkeypatch):
+        import sgchrom.solver as solver
+
+        calls = []
+        real = solver.find_sp_hom
+
+        def counting(g, params, **kwargs):
+            calls.append(g)
+            return real(g, params, **kwargs)
+
+        monkeypatch.setattr(solver, "find_sp_hom", counting)
+        path = write_graph(tmp_path, "k4.sg", build("K4_MINUS").graph)
+        code, out, _ = run_cli(capsys, "critical-check", path, "10", "3")
+        assert code == EXIT_OK
+        assert len(calls) == 7  # the graph and its six single-edge deletions
+        assert json.loads(out) == {
+            "schema": 1,
+            "p": 10,
+            "q": 3,
+            "colorable": False,
+            "critical": True,
+            "per_edge": [
+                {"edge": [u, v, -1], "colorable_without": True}
+                for (u, v) in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+            ],
+        }
+
+    def test_colorable_graph_has_no_per_edge_rows(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "tplus.sg", build("T_PLUS").graph)
+        code, out, _ = run_cli(capsys, "critical-check", path, "10", "3")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["colorable"], doc["critical"], doc["per_edge"]) == (True, False, [])
 
 
 class TestTextFormatFlag:
