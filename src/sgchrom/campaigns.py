@@ -14,7 +14,6 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Iterator, Optional
 
 import numpy as np
@@ -186,6 +185,8 @@ def _pmap(fn, items, threads: int):
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from multiprocessing import Pool  # deferred: a serial run never loads it
+
     with Pool(processes=threads) as pool:
         return pool.map(fn, items, chunksize=max(1, len(items) // (threads * 4)))
 

@@ -1,18 +1,39 @@
 """Edge-sign-preserving homomorphisms into signed circular cliques.
 
-``find_sp_hom`` decides colorability by complete backtracking search
-with forward checking; ``chi_c`` walks candidate fractions p/q in
-strictly increasing order and returns the first colorable one together
-with a witness and the list of rejected fractions, so the answer is the
-minimum within the denominator budget.
+``find_sp_hom`` decides colorability exactly, one connected component at
+a time, with two deciders.  It starts with FC-CBJ: backtracking search
+with forward checking and conflict-directed backjumping (Prosser 1993)
+along a static maximum-cardinality order.  A search that reaches its
+first checkpoint, at 2,048 nodes, where it also reads the clock, hands
+the component to bucket elimination (Dechter 1999) in the reverse of
+the same order, provided that no list domains are given, p <= 32, and
+the elimination's largest join grid has at most 2**20 cells; otherwise
+FC-CBJ carries on.  Each elimination function is stored once per
+rotation class: rotating every color is an automorphism of the clique,
+and only the component's first vertex is pinned, so a function is known
+from its values with its first argument at color 0.  That divides the
+work and the memory of elimination by p.
+
+Both deciders return the same witness, the lexicographically first
+coloring in the static order with the first vertex at color 0: forward
+checking and backjumping discard only values and subtrees that contain
+no solution, and elimination's back-substitution gives each vertex the
+least color that extends to a solution.
+
+``chi_c`` walks candidate fractions p/q in strictly increasing order
+and returns the first colorable one together with a witness and the
+list of rejected fractions, so the answer is the minimum within the
+denominator budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence
 
 from .clique import CliqueParams, _params, adjacency, neighbor_mask
 from .core import SignedMultigraph, components
@@ -66,18 +87,52 @@ def verify_hom(g: SignedMultigraph, h: Homomorphism) -> bool:
     return True
 
 
+# FC-CBJ reads the clock every _CHECK_NODES nodes of a component's search;
+# at the first such checkpoint the component may switch to elimination.
+_CHECK_NODES = 2048
+
+
+class _SwitchToElimination(Exception):
+    """Raised out of FC-CBJ at a checkpoint when elimination takes over."""
+
+    def __init__(self, parents: list[list[int]]):
+        super().__init__()
+        self.parents = parents
+
+
 class _Deadline:
-    __slots__ = ("t_end", "nodes")
+    """Node counter of one find_sp_hom call.  At each checkpoint it reads
+    the clock, and at a component's first checkpoint it may switch the
+    component to elimination."""
+
+    __slots__ = ("t_end", "nodes", "next_check", "planner")
 
     def __init__(self, seconds: Optional[float]):
         self.t_end = None if seconds is None else time.monotonic() + seconds
         self.nodes = 0
+        self.next_check = _CHECK_NODES
+        self.planner = None
+
+    def start(self, planner: Optional[Callable[[], Optional[list[list[int]]]]]):
+        """A component's search begins.  ``planner`` is called at its first
+        checkpoint; a plan it returns switches the component to elimination."""
+        self.next_check = self.nodes + _CHECK_NODES
+        self.planner = planner
 
     def tick(self):
         self.nodes += 1
-        if self.t_end is not None and self.nodes % 2048 == 0:
-            if time.monotonic() > self.t_end:
-                raise SearchDeadlineExceeded()
+        if self.nodes == self.next_check:
+            self.next_check += _CHECK_NODES
+            self.check_clock()
+            planner, self.planner = self.planner, None
+            if planner is not None:
+                parents = planner()
+                if parents is not None:
+                    raise _SwitchToElimination(parents)
+
+    def check_clock(self):
+        if self.t_end is not None and time.monotonic() > self.t_end:
+            raise SearchDeadlineExceeded()
 
 
 def _pair_tables(g: SignedMultigraph, pr: CliqueParams):
@@ -197,10 +252,156 @@ def _search(order, domains, tables, deadline, pr) -> Optional[list[int]]:
         conf_set[i] = set()
         return target
 
-    result = assign(0)
+    try:
+        result = assign(0)
+    finally:
+        # assign reaches itself through its closure; emptying that cell
+        # frees the search state now rather than at a full collection.
+        del assign
     if result == JUMP_DONE:
         return [assignment[i] for i in range(n)]
     return None
+
+
+# -- bucket elimination ----------------------------------------------------
+
+# Largest join grid (cells, after the rotation quotient) elimination accepts;
+# a component whose plan needs more stays on FC-CBJ.
+_MAX_GRID_CELLS = 1 << 20
+# Masks are uint32, so p <= 32; the bits a rotation shifts past bit 31
+# lie at or above p, where the join drops them anyway.
+_MAX_ELIMINATION_P = 32
+# Cells per chunk of a join grid: 64 KB per temporary.  Larger chunks cost
+# resident memory, smaller ones Python loop overhead.
+_CHUNK_CELLS = 1 << 14
+
+
+def _plan(order: Sequence[int], tables, p: int) -> Optional[list[list[int]]]:
+    """The scopes of bucket elimination in the reverse of ``order``, or None
+    when its largest join grid would exceed _MAX_GRID_CELLS.
+
+    ``parents[j]`` lists, ascending, the earlier positions that the
+    functions in position j's bucket range over: its earlier neighbors,
+    plus the scope of every message sent to it.  Eliminating j sends the
+    bucket of the latest member of ``parents[j]`` a message over the
+    others.  The join grid at j has p ** (len(parents[j]) - 1) cells,
+    since the first member is held at color 0.
+    """
+    pos = {v: i for i, v in enumerate(order)}
+    parents: list[set[int]] = [set() for _ in order]
+    for (a, b) in tables:
+        if a in pos and pos[a] < pos[b]:
+            parents[pos[b]].add(pos[a])
+    for j in range(len(order) - 1, 0, -1):
+        if parents[j]:
+            u = max(parents[j])
+            parents[u] |= parents[j] - {u}
+            if p ** (len(parents[j]) - 1) > _MAX_GRID_CELLS:
+                return None
+    return [sorted(s) for s in parents]
+
+
+def _eliminate(order, tables, parents, p: int, deadline: _Deadline) -> Optional[list[int]]:
+    """Bucket elimination (Dechter 1999) on one component with order[0]
+    pinned to color 0: colors of ``order``, or None when there are none.
+
+    A function in position j's bucket has a scope S of earlier positions
+    and gives, for colors x_S, the mask of colors of j it allows.  Every
+    function commutes with rotating all colors, because the edge tables
+    do and the one pinned vertex, the root, is eliminated last.  So a
+    function is stored at anchor color 0, as an array ``tab`` with one
+    axis per member of S[1:], indexed by colors relative to S[0]:
+
+        f(x_S) = rot(tab[(x_S[1:] - x_S[0]) mod p], x_S[0]).
+
+    An edge (a, b) with a earlier is the function with S = (a,) and the
+    0-d ``tab = tables[(a, b)][0]``.  Eliminating j joins its bucket's masks
+    with &, keeps the cells where some color of j survives, and packs that
+    along the latest member of ``parents[j]``: a message for its bucket.
+    Back-substitution then colors the positions in order, each with the
+    least color its bucket allows given the earlier ones.  Every allowed
+    color extends to a solution and every color that extends is allowed,
+    so this is the lexicographically first solution in ``order``, the
+    one FC-CBJ returns.
+    """
+    import numpy as np  # only elimination needs it; most solves never get here
+
+    pos = {v: i for i, v in enumerate(order)}
+    full = (1 << p) - 1
+    buckets: list[list] = [[] for _ in order]
+    for (a, b), tab in tables.items():
+        if a in pos and pos[a] < pos[b]:
+            buckets[pos[b]].append(((pos[a],), np.array(tab[0], dtype=np.uint32)))
+    for j in range(len(order) - 1, 0, -1):
+        scope = parents[j]
+        if not scope:
+            continue
+        msg = _message(buckets[j], scope, p, full, deadline)
+        if not msg.max():
+            return None
+        if len(scope) > 1:
+            buckets[scope[-1]].append((tuple(scope[:-1]), msg.reshape((p,) * (len(scope) - 2))))
+    colors = [0] * len(order)
+    for j in range(1, len(order)):
+        allowed = full
+        for (scope, tab) in buckets[j]:
+            t = colors[scope[0]]
+            m = int(tab[tuple((colors[r] - t) % p for r in scope[1:])])
+            allowed &= (m << t | m >> (p - t)) & full
+        colors[j] = (allowed & -allowed).bit_length() - 1
+    return colors
+
+
+def _message(bucket, scope: Sequence[int], p: int, full: int, deadline: _Deadline):
+    """Eliminate a bucket whose functions range over ``scope``.
+
+    The join grid has one axis per member of scope[1:], scope[0] held at
+    color 0.  Returns, for len(scope) > 1, the message to scope[-1]'s
+    bucket: one mask over scope[-1]'s colors per row of the grid, rows in
+    row-major order.  For a single-member scope it returns one cell, 1
+    when the bucket is satisfiable at all and 0 when it is not.  Functions
+    are read by indexing with one broadcast array per axis, so no
+    temporary is larger than a chunk.  Few distinct numpy kernels are
+    used: each one touched for the first time adds its code pages to the
+    resident set.
+    """
+    import numpy as np
+
+    d = len(scope) - 1
+    k = d
+    while p**k > _CHUNK_CELLS:
+        k -= 1
+    # A chunk spans the last k axes of the grid and, when there are more,
+    # a block of colors of the axis before them; earlier axes are looped
+    # over.
+    grid = scope[1:]
+    lead, block, trail = grid[: max(0, d - k - 1)], grid[d - k - 1 : d - k], grid[d - k :]
+    step = min(p, _CHUNK_CELLS // p**k) if block else 1
+    coord = {scope[0]: 0}
+    for a, r in enumerate(trail):
+        coord[r] = np.arange(p, dtype=np.uint32).reshape([p if i == a + 1 else 1 for i in range(k + 1)])
+    out = np.empty(p ** max(0, d - 1), dtype=np.uint32)
+    for i, prefix in enumerate(itertools.product(range(p), repeat=len(lead))):
+        coord.update(zip(lead, prefix))
+        for lo in range(0, p if block else 1, step):
+            deadline.check_clock()
+            hi = min(lo + step, p)
+            if block:
+                coord[block[0]] = np.arange(lo, hi, dtype=np.uint32).reshape((-1,) + (1,) * k)
+            joined = np.full((hi - lo,) + (p,) * k, full, dtype=np.uint32)
+            for (fscope, tab) in bucket:
+                t = coord[fscope[0]]
+                val = tab[tuple((coord[r] + p - t) % p for r in fscope[1:])]
+                if fscope[0] != scope[0]:
+                    val = val << t | val >> (p - t)  # bits >= p: cleared by the join
+                joined &= val
+            alive = np.minimum(joined, 1, out=joined).reshape(-1, p if d else 1)
+            packed = alive[:, 0].copy()
+            for c in range(1, alive.shape[1]):
+                packed |= alive[:, c] << c
+            at = (i * p + lo) * p ** max(0, k - 1)
+            out[at : at + len(packed)] = packed
+    return out
 
 
 def find_sp_hom(
@@ -234,11 +435,16 @@ def find_sp_hom(
     tables = _pair_tables(g, pr)
     deadline = _Deadline(deadline_s)
     result = [0] * g.n
+    switchable = pin and pr.p <= _MAX_ELIMINATION_P
     for comp in components(g.n, ((u, v) for (u, v, _) in g.edges)):
         order = _static_order(g, comp)
         if pin:
             doms[order[0]] = 1  # color 0 only; rotation symmetry
-        sol = _search(order, doms, tables, deadline, pr)
+        deadline.start(partial(_plan, order, tables, pr.p) if switchable else None)
+        try:
+            sol = _search(order, doms, tables, deadline, pr)
+        except _SwitchToElimination as switch:
+            sol = _eliminate(order, tables, switch.parents, pr.p, deadline)
         if sol is None:
             return None
         for v, c in zip(order, sol):

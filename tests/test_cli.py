@@ -4,7 +4,7 @@ import sys
 
 from sgchrom.cli import EXIT_INCONCLUSIVE, EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
 from sgchrom.catalog import build
-from sgchrom.core import format_graph_text
+from sgchrom.core import NEG, format_graph_text, make_graph
 
 
 def run_cli(capsys, *argv):
@@ -44,9 +44,9 @@ class TestChiC:
         assert code == EXIT_MATH_FAIL
 
     def test_deadline_inconclusive(self, tmp_path, capsys):
-        from sgchrom.catalog import apply_indicator, hajos_graph
-
-        path = write_graph(tmp_path, "big.sg", apply_indicator(hajos_graph(1)))
+        # chi_c of the all-negative K9 at q_max=3 takes ~2 s undisturbed.
+        k9 = make_graph(9, [(u, v, NEG) for u in range(9) for v in range(u + 1, 9)])
+        path = write_graph(tmp_path, "k9.sg", k9)
         code, out, _ = run_cli(capsys, "chi-c", path, "--q-max", "3", "--deadline-s", "0.05")
         assert code == EXIT_INCONCLUSIVE
         assert json.loads(out)["status"] == "inconclusive"

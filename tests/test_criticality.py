@@ -19,7 +19,7 @@ from sgchrom.criticality import (
     is_two_connected,
     potential,
 )
-from sgchrom.solver import NegativeLoopError, is_colorable
+from sgchrom.solver import NegativeLoopError, find_sp_hom, is_colorable, verify_hom
 
 from conftest import oracle_colorable, random_signed_graph
 
@@ -166,13 +166,23 @@ class TestDensityCheck:
 
 class TestGadgetFamilyCriticalityEvidence:
     def test_sampled_edge_deletions_colorable(self):
-        # Full criticality of the 51-vertex member means 90 probes; a
-        # symmetric sample is checked here, the non-colorability of the
-        # whole graph in the acceptance suite.
+        # A symmetric sample of the 90 deletions; the next test checks
+        # them all, the acceptance suite the non-colorability of the whole.
         big = apply_indicator(hajos_graph(1))
         for idx in (0, 2, 5, 47, 89):
             sub = SignedMultigraph(big.n, big.edges[:idx] + big.edges[idx + 1 :])
             assert is_colorable(sub, P103)
+
+    def test_every_edge_deletion_colorable(self):
+        # Full criticality evidence: with the whole graph non-colorable
+        # (acceptance criterion 11), all 90 single-edge deletions being
+        # colorable makes the 51-vertex member (10,3)-critical.
+        big = apply_indicator(hajos_graph(1))
+        assert big.m == 90
+        for idx in range(big.m):
+            sub = SignedMultigraph(big.n, big.edges[:idx] + big.edges[idx + 1 :])
+            hom = find_sp_hom(sub, P103)
+            assert hom is not None and verify_hom(sub, hom), idx
 
 
 class TestTwoConnected:

@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sgchrom.campaigns import EnumSpec, enumerate_signed
-from sgchrom.catalog import build, negative_cycle
+from sgchrom.catalog import apply_indicator, build, negative_cycle
 from sgchrom.clique import CliqueParams, antipode
-from sgchrom.core import NEG, POS, SignedMultigraph, make_graph, switch
+from sgchrom import solver
+from sgchrom.core import NEG, POS, SignedMultigraph, components, make_graph, switch
 from sgchrom.solver import (
     CeilingExhausted,
     EnumerationTruncated,
@@ -24,6 +28,12 @@ from sgchrom.solver import (
 from conftest import oracle_colorable, oracle_count_homs, random_signed_graph
 
 P103 = CliqueParams(10, 3)
+
+
+def negative_complete(n):
+    """K_n with every edge negative: its chi_c is the circular chromatic
+    number of K_n, which is n."""
+    return make_graph(n, [(u, v, NEG) for u in range(n) for v in range(u + 1, n)])
 
 
 def small_classes(n_max=4, allow_digons=True):
@@ -201,11 +211,11 @@ class TestChiC:
             chi_c(build("DIGON").graph, ceiling=Fraction(3))
 
     def test_deadline(self):
-        from sgchrom.catalog import apply_indicator, hajos_graph
-
-        big = apply_indicator(hajos_graph(1))
+        # Without a deadline this takes ~2 s (2-core Xeon): its UNSAT
+        # proofs below 9 stay on FC-CBJ, since for p >= 8 eliminating K9
+        # needs grids of p**7 > 2**20 cells.
         with pytest.raises(SearchDeadlineExceeded):
-            chi_c(big, q_max=3, deadline_s=0.05)
+            chi_c(negative_complete(9), q_max=3, deadline_s=0.05)
 
 
 class TestOracleEquivalence:
@@ -262,3 +272,135 @@ class TestOracleEquivalence:
             feasible = [is_colorable(g, by_value[v]) for v in values]
             first_true = next((i for i, f in enumerate(feasible) if f), len(values))
             assert all(feasible[first_true:]), g
+
+
+def decide_both(g, params):
+    """Witnesses of FC-CBJ, run to completion, and of bucket elimination,
+    each deciding every component on find_sp_hom's pinned path.  A side
+    is None when that decider proves non-colorability."""
+    pr = CliqueParams(*params)
+    tables = solver._pair_tables(g, pr)
+    sides = {"fc": [0] * g.n, "be": [0] * g.n}
+    for comp in components(g.n, ((u, v) for (u, v, _) in g.edges)):
+        order = solver._static_order(g, comp)
+        doms = [(1 << pr.p) - 1] * g.n
+        doms[order[0]] = 1
+        parents = solver._plan(order, tables, pr.p)
+        assert parents is not None
+        found = {
+            "fc": solver._search(order, doms, tables, solver._Deadline(None), pr),
+            "be": solver._eliminate(order, tables, parents, pr.p, solver._Deadline(None)),
+        }
+        for side, colors in found.items():
+            if colors is None:
+                sides[side] = None
+            elif sides[side] is not None:
+                for v, c in zip(order, colors):
+                    sides[side][v] = c
+    return tuple(None if w is None else Homomorphism(pr, tuple(w)) for w in sides.values())
+
+
+def k5_indicator():
+    return apply_indicator(make_graph(5, [(u, v, POS) for u in range(5) for v in range(u + 1, 5)]))
+
+
+class TestBucketElimination:
+    def test_agrees_with_fc_cbj_and_oracle_n5(self):
+        # Every class on at most five vertices, digons included, at every
+        # (p, q) with p <= 10: same decision as FC-CBJ and the product-space
+        # oracle, and the same witness as FC-CBJ.
+        params = [(p, q) for p in range(2, 11, 2) for q in range(1, p // 2 + 1)]
+        classes = small_classes(5)
+        assert len(classes) == 1407
+        for g in classes:
+            for (p, q) in params:
+                fc, be = decide_both(g, (p, q))
+                assert fc == be, (g, p, q)
+                assert (be is not None) == oracle_colorable(g, p, q), (g, p, q)
+                if be is not None:
+                    assert verify_hom(g, be)
+
+    def test_switches_on_the_k5_indicator(self, monkeypatch):
+        # FC-CBJ passes its first checkpoint on this 35-vertex graph, so the
+        # component is handed to elimination, whose witness is FC-CBJ's own.
+        g = k5_indicator()
+        calls = []
+        real = solver._eliminate
+
+        def spy(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_eliminate", spy)
+        hom = find_sp_hom(g, P103)
+        assert len(calls) == 1
+        fc, be = decide_both(g, (10, 3))
+        assert hom == fc == be
+        assert verify_hom(g, hom)
+
+    def test_plan_over_the_cell_limit_stays_on_fc_cbj(self, monkeypatch):
+        # K8 at 14/2 = 7 is an FC-CBJ search of more than 2,048 nodes, and
+        # eliminating its last vertex needs a grid of 14**6 cells > 2**20.
+        plans = []
+        real = solver._plan
+
+        def spy(*args):
+            plans.append(real(*args))
+            return plans[-1]
+
+        def fail(*args):
+            raise AssertionError("elimination ran")
+
+        monkeypatch.setattr(solver, "_plan", spy)
+        monkeypatch.setattr(solver, "_eliminate", fail)
+        assert find_sp_hom(negative_complete(8), (14, 2)) is None
+        assert plans == [None]
+
+    def test_list_domains_stay_on_fc_cbj(self, monkeypatch):
+        monkeypatch.setattr(solver, "_plan", lambda *args: pytest.fail("planned"))
+        g = k5_indicator()
+        hom = find_sp_hom(g, P103, domains=[(1 << 10) - 1] * g.n)
+        assert verify_hom(g, hom)
+
+    def test_deadline_fires_inside_elimination(self, monkeypatch):
+        # A clock that stands still until elimination starts, then jumps
+        # past the deadline: the next read, per chunk of the join grid,
+        # must stop the elimination.
+        now = [0.0]
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        real = solver._eliminate
+
+        def late(*args):
+            now[0] = 10.0
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_eliminate", late)
+        with pytest.raises(SearchDeadlineExceeded) as info:
+            find_sp_hom(k5_indicator(), P103, deadline_s=1.0)
+        assert info.traceback[-1].name == "check_clock"
+        assert info.traceback[-2].name == "_message"
+
+
+@st.composite
+def connected_graphs(draw, max_n=9):
+    """A random spanning tree plus a few extra edges, digons allowed."""
+    n = draw(st.integers(1, max_n))
+    sign = st.sampled_from((POS, NEG))
+    edges = [(draw(st.integers(0, v - 1)), v, draw(sign)) for v in range(1, n)]
+    if n > 1:
+        vertex = st.integers(0, n - 1)
+        extra = st.tuples(vertex, vertex, sign).filter(lambda e: e[0] != e[1])
+        edges += draw(st.lists(extra, max_size=n + 3))
+    return SignedMultigraph(n, tuple(edges))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(connected_graphs(), st.sampled_from([(6, 2), (8, 3), (10, 3), (12, 5), (14, 4), (16, 5), (32, 9)]))
+def test_elimination_witness_is_fc_cbj_witness(g, pq):
+    pr = CliqueParams(*pq)
+    order = solver._static_order(g, list(range(g.n)))
+    assume(solver._plan(order, solver._pair_tables(g, pr), pr.p) is not None)
+    fc, be = decide_both(g, pq)
+    assert fc == be
+    if be is not None:
+        assert verify_hom(g, be)
