@@ -5,7 +5,12 @@ Enumeration yields one representative per switching-isomorphism class:
 underlying multigraphs are generated by vertex augmentation with
 canonical-form deduplication, and per underlying graph the signatures
 are cotree sign vectors (spanning forest forced positive) deduplicated
-as orbits under automorphisms composed with switching.
+as orbits under automorphisms composed with switching.  Augmentation
+skips, before canonical labelling, the children whose class is already
+known: those an automorphism of the parent maps onto an earlier child
+(the orbit rule), and, in a connected enumeration, disconnected children
+on the last level (the connectivity cut).  Neither rule changes which
+representatives come out or their order.
 """
 
 from __future__ import annotations
@@ -96,20 +101,41 @@ class CampaignReport:
 # -- underlying multigraph enumeration --------------------------------------
 
 
-def _underlying_classes(n: int, states: tuple[int, ...], max_degree: Optional[int]):
-    """Canonical representatives of all multigraphs on exactly 2..n
-    vertices with per-pair states drawn from ``states``, grown by vertex
-    augmentation from the single-vertex graph.  Each representative is a
-    (pair-state dict, automorphism group) couple; one canonical-form
-    search per augmentation child gives both."""
-    reps: list[_canon.PairStates] = [{}]  # the 1-vertex graph
-    for size in range(2, n + 1):
+def _underlying_classes(spec: EnumSpec):
+    """Canonical representatives of all multigraphs on exactly
+    2..spec.n_max vertices, with per-pair states 0/1 (0/1/2 with digons)
+    and degrees within spec.max_degree, grown by vertex augmentation from
+    the single-vertex graph.  Each representative is a (pair-state dict,
+    automorphism group) couple; one canonical-form search per
+    augmentation child gives both.
+
+    Two rules decide children without that search, and neither changes
+    the yielded stream:
+
+    - Orbit rule (McKay, Isomorph-free exhaustive generation, 1998): an
+      automorphism s of the parent maps the augmentation vector ``vec``
+      to ``w`` with w[s(u)] = vec[u], and both give isomorphic children.
+      ``vec`` is skipped when some s gives a lexicographically smaller
+      ``w``.  The degree filter is invariant under s, and
+      ``itertools.product`` visits the least member of an orbit first,
+      so every code still enters ``nxt`` at the same position; its value
+      (canonical graph, group) is a function of the code.
+    - Connectivity cut: with spec.connected, a child on n_max vertices
+      whose new vertex misses a component of the parent is disconnected.
+      It is never a parent and ``enumerate_signed`` drops it, so it is
+      skipped."""
+    states = (0, 1, 2) if spec.allow_digons else (0, 1)
+    max_degree = spec.max_degree
+    reps: list[tuple[_canon.PairStates, list]] = [({}, [(0,)])]  # the 1-vertex graph
+    for size in range(2, spec.n_max + 1):
         nxt: dict[tuple, tuple[_canon.PairStates, list]] = {}
-        for parent in reps:
+        cut = spec.connected and size == spec.n_max
+        for parent, auts in reps:
             deg = [0] * (size - 1)
             for (a, b), st in parent.items():
                 deg[a] += st
                 deg[b] += st
+            comps = components(size - 1, parent) if cut else ()
             for vec in itertools.product(states, repeat=size - 1):
                 newdeg = sum(vec)
                 if max_degree is not None:
@@ -117,6 +143,12 @@ def _underlying_classes(n: int, states: tuple[int, ...], max_degree: Optional[in
                         continue
                     if any(deg[u] + vec[u] > max_degree for u in range(size - 1)):
                         continue
+                if cut and not all(any(vec[u] for u in comp) for comp in comps):
+                    continue
+                # The group holds every inverse, so w[i] = vec[s(i)] ranges
+                # over the same images as w[s(u)] = vec[u].
+                if any(tuple(vec[u] for u in perm) < vec for perm in auts):
+                    continue
                 pairs = dict(parent)
                 for u, st in enumerate(vec):
                     if st:
@@ -129,8 +161,8 @@ def _underlying_classes(n: int, states: tuple[int, ...], max_degree: Optional[in
                         x, y = lab[a], lab[b]
                         canon[(min(x, y), max(x, y))] = st
                     nxt[code] = (canon, _canon.automorphisms(labs))
-        yield size, list(nxt.values())
-        reps = [canon for canon, _ in nxt.values()]
+        reps = list(nxt.values())
+        yield size, reps
 
 
 def _signature_classes(
@@ -168,9 +200,8 @@ def _signature_classes(
 def enumerate_signed(spec: EnumSpec) -> Iterator[SignedMultigraph]:
     """Yield one representative per switching-isomorphism class, for each
     vertex count 1..n_max, in a deterministic order."""
-    states = (0, 1, 2) if spec.allow_digons else (0, 1)
     yield SignedMultigraph(1, ())
-    for size, reps in _underlying_classes(spec.n_max, states, spec.max_degree):
+    for size, reps in _underlying_classes(spec):
         for pairs, auts in reps:
             if spec.connected and len(components(size, pairs)) > 1:
                 continue

@@ -35,8 +35,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
-from .clique import CliqueParams, _params, adjacency, neighbor_mask
-from .core import SignedMultigraph, components
+from .clique import CliqueParams, _neighbor_masks, _params, adjacency
+from .core import POS, SignedMultigraph, components
 
 
 class NegativeLoopError(ValueError):
@@ -138,23 +138,24 @@ class _Deadline:
 def _pair_tables(g: SignedMultigraph, pr: CliqueParams):
     """Per ordered adjacent pair (u, v): color-of-u -> allowed mask for v.
 
-    Parallel edges intersect their constraints, so a digon yields the
-    intersection of both sign neighborhoods.  Positive loops are always
+    Clique adjacency is symmetric, so (u, v) and (v, u) share one tuple,
+    and a single edge's tuple is its sign's neighbor masks.  Parallel
+    edges intersect their constraints, so a digon yields the
+    intersection of both sign neighborhoods.  Keys appear in first
+    occurrence order, (u, v) before (v, u).  Positive loops are always
     satisfiable and are dropped here (negative loops must be rejected by
     the caller).
     """
-    full = (1 << pr.p) - 1
-    tables: dict[tuple[int, int], list[int]] = {}
+    pos, neg = _neighbor_masks(pr)
+    tables: dict[tuple[int, int], tuple[int, ...]] = {}
     for (u, v, s) in g.edges:
         if u == v:
             continue
-        for (a, b) in ((u, v), (v, u)):
-            tab = tables.get((a, b))
-            if tab is None:
-                tab = [full] * pr.p
-                tables[(a, b)] = tab
-            for c in range(pr.p):
-                tab[c] &= neighbor_mask(pr, c, s)
+        tab = pos if s == POS else neg
+        old = tables.get((u, v))
+        if old is not None:
+            tab = tuple(x & y for x, y in zip(old, tab))
+        tables[(u, v)] = tables[(v, u)] = tab
     return tables
 
 
@@ -162,17 +163,27 @@ def _static_order(g: SignedMultigraph, vertices: Sequence[int]) -> list[int]:
     """Static search order: start at a maximum-degree vertex, then greedily
     take the vertex with the most already-ordered neighbors (ties: higher
     degree, then lower index).  Deterministic, and it keeps forward
-    checking constantly engaged on gadget-like graphs."""
-    deg = {v: g.degree(v) for v in vertices}
-    nbrs = {v: [u for u in g.neighbors(v) if u in deg] for v in vertices}
+    checking constantly engaged on gadget-like graphs.  Degrees (a loop
+    counts 2) and neighbor sets come from one pass over the edges."""
+    deg = dict.fromkeys(vertices, 0)
+    nbrs: dict[int, set[int]] = {v: set() for v in vertices}
+    for (a, b, _) in g.edges:
+        if a in deg:
+            deg[a] += 1
+        if b in deg:
+            deg[b] += 1
+            if a in deg and a != b:
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+    placed = dict.fromkeys(vertices, 0)  # already-ordered neighbors
     order: list[int] = []
-    placed: set[int] = set()
     rest = set(vertices)
     while rest:
-        best = max(rest, key=lambda v: (sum(1 for u in nbrs[v] if u in placed), deg[v], -v))
+        best = max(rest, key=lambda v: (placed[v], deg[v], -v))
         order.append(best)
-        placed.add(best)
         rest.discard(best)
+        for u in nbrs[best]:
+            placed[u] += 1
     return order
 
 

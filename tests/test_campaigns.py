@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sgchrom import _canon
 from sgchrom.campaigns import (
     CAMPAIGN_IDS,
     EnumSpec,
@@ -135,8 +136,18 @@ class TestEnumerate:
                 381,
                 "528497670f8bd7789ee089b3d0d2c61db948260ac01c88c7aecf9eb5369d81f4",
             ),
+            (
+                EnumSpec(n_max=6, allow_digons=True, connected=True, max_degree=4),
+                1978,
+                "9ac370bdbc07880a09d4131cb8e1570a3f53f22683bc50e8d087040fe48d2045",
+            ),
+            (
+                EnumSpec(n_max=8, simple=True, connected=True, max_degree=3),
+                1331,
+                "88a6e55b5ceb24a511ba08b02184c3251dc450a89ee55d381c8778a00bc2c4a2",
+            ),
         ],
-        ids=["digons-5", "simple-5", "subcubic-connected-7"],
+        ids=["digons-5", "simple-5", "subcubic-connected-7", "digons-connected-6", "subcubic-connected-8"],
     )
     def test_stream_is_pinned(self, spec, count, digest):
         """The representatives, their order and their edge lists are part
@@ -145,6 +156,32 @@ class TestEnumerate:
         text = "".join(format_graph_text(g) for g in got)
         assert len(got) == count
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "spec,calls",
+        [
+            (EnumSpec(n_max=5, simple=True), 118),
+            (EnumSpec(n_max=5, allow_digons=True), 3318),
+            (EnumSpec(n_max=7, simple=True, connected=True, max_degree=3), 601),
+            (EnumSpec(n_max=8, simple=True, connected=True, max_degree=3), 1992),
+        ],
+        ids=["simple-5", "digons-5", "subcubic-connected-7", "subcubic-connected-8"],
+    )
+    def test_canonical_form_calls(self, spec, calls, monkeypatch):
+        """Work guard: the orbit rule and the last-level connectivity cut
+        leave exactly this many augmentation children to canonical
+        labelling (without them: 218, 5,646, 1,973 and 6,416)."""
+        real = _canon.canonical_form
+        seen = []
+
+        def counting(n, pairs):
+            seen.append(n)
+            return real(n, pairs)
+
+        monkeypatch.setattr(_canon, "canonical_form", counting)
+        for _ in enumerate_signed(spec):
+            pass
+        assert len(seen) == calls
 
 
 class TestTSurjective:

@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgchrom.campaigns import EnumSpec, enumerate_signed
-from sgchrom.catalog import apply_indicator, build, negative_cycle
-from sgchrom.clique import CliqueParams, antipode
+from sgchrom.catalog import apply_indicator, build, hajos_graph, negative_cycle
+from sgchrom.catalog import names as catalog_names
+from sgchrom.clique import CliqueParams, antipode, neighbor_mask
 from sgchrom import solver
 from sgchrom.core import NEG, POS, SignedMultigraph, components, make_graph, switch
 from sgchrom.solver import (
@@ -272,6 +273,73 @@ class TestOracleEquivalence:
             feasible = [is_colorable(g, by_value[v]) for v in values]
             first_true = next((i for i, f in enumerate(feasible) if f), len(values))
             assert all(feasible[first_true:]), g
+
+
+def reference_pair_tables(g, pr):
+    """The per-color rule _pair_tables replaced: AND in neighbor_mask for
+    every color of every edge direction."""
+    full = (1 << pr.p) - 1
+    tables = {}
+    for (u, v, s) in g.edges:
+        if u == v:
+            continue
+        for (a, b) in ((u, v), (v, u)):
+            tab = tables.get((a, b))
+            if tab is None:
+                tab = [full] * pr.p
+                tables[(a, b)] = tab
+            for c in range(pr.p):
+                tab[c] &= neighbor_mask(pr, c, s)
+    return tables
+
+
+def reference_static_order(g, vertices):
+    """The per-step recount _static_order replaced."""
+    deg = {v: g.degree(v) for v in vertices}
+    nbrs = {v: [u for u in g.neighbors(v) if u in deg] for v in vertices}
+    order, placed, rest = [], set(), set(vertices)
+    while rest:
+        best = max(rest, key=lambda v: (sum(1 for u in nbrs[v] if u in placed), deg[v], -v))
+        order.append(best)
+        placed.add(best)
+        rest.discard(best)
+    return order
+
+
+def density_deletions():
+    big = apply_indicator(hajos_graph(1))
+    return [SignedMultigraph(big.n, big.edges[:i] + big.edges[i + 1 :]) for i in range(big.m)]
+
+
+class TestSetUp:
+    """_pair_tables and _static_order against the rules they replaced:
+    same values and the same key order, which _search, _plan and
+    _eliminate iterate."""
+
+    # The catalog, a digon, a same-sign parallel pair and a positive loop.
+    GRAPHS = [build(nm).graph for nm in catalog_names()] + [
+        make_graph(2, [(0, 1, POS), (0, 1, NEG)]),
+        make_graph(3, [(0, 1, NEG), (1, 2, POS), (2, 1, POS)]),
+        make_graph(3, [(0, 1, NEG), (1, 2, POS), (2, 2, POS)]),
+    ]
+
+    def test_pair_tables_match_per_color_rule(self):
+        for pq in ((6, 2), (10, 3), (16, 5), (28, 9)):
+            pr = CliqueParams(*pq)
+            for g in self.GRAPHS:
+                got = solver._pair_tables(g, pr)
+                want = reference_pair_tables(g, pr)
+                assert list(got) == list(want), (g, pq)
+                assert {k: list(t) for k, t in got.items()} == want, (g, pq)
+
+    def test_static_order_matches_recount(self):
+        graphs = small_classes(5) + self.GRAPHS
+        graphs += density_deletions() + [apply_indicator(hajos_graph(5))]
+        for g in graphs:
+            vertices = list(range(g.n))
+            assert solver._static_order(g, vertices) == reference_static_order(g, vertices)
+            for comp in components(g.n, ((u, v) for (u, v, _) in g.edges)):
+                assert solver._static_order(g, comp) == reference_static_order(g, comp)
 
 
 def decide_both(g, params):
