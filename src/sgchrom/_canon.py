@@ -13,18 +13,24 @@ from __future__ import annotations
 PairStates = dict[tuple[int, int], int]
 
 
-def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
-    n = len(adj)
+def _refine(nbrs: list[list[tuple[int, int]]], colors: list[int]) -> list[int]:
+    """Color refinement to a stable partition; ``nbrs[v]`` lists v's
+    neighbours u with the pair state, as (u, state).
+
+    A round only splits cells (a signature starts with the old color).
+    When it splits none, the partition is stable and the next round
+    would return these same ranks, so it is not run."""
+    cells = len(set(colors))
     while True:
-        sigs = []
-        for v in range(n):
-            row = adj[v]
-            sigs.append((colors[v], tuple(sorted((colors[u], row[u]) for u in range(n) if row[u]))))
+        sigs = [
+            (colors[v], tuple(sorted((colors[u], st) for u, st in row)))
+            for v, row in enumerate(nbrs)
+        ]
         order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = [order[s] for s in sigs]
-        if new == colors:
+        if len(order) == cells:
             return new
-        colors = new
+        colors, cells = new, len(order)
 
 
 def canonical_form(n: int, pairs: PairStates):
@@ -36,10 +42,11 @@ def canonical_form(n: int, pairs: PairStates):
     adj = [[0] * n for _ in range(n)]
     for (a, b), st in pairs.items():
         adj[a][b] = adj[b][a] = st
+    nbrs = [[(u, st) for u, st in enumerate(row) if st] for row in adj]
     leaves: list[tuple[tuple, list[int]]] = []
 
     def descend(colors: list[int]):
-        colors = _refine(adj, colors)
+        colors = _refine(nbrs, colors)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)

@@ -5,12 +5,16 @@ Enumeration yields one representative per switching-isomorphism class:
 underlying multigraphs are generated by vertex augmentation with
 canonical-form deduplication, and per underlying graph the signatures
 are cotree sign vectors (spanning forest forced positive) deduplicated
-as orbits under automorphisms composed with switching.  Augmentation
-skips, before canonical labelling, the children whose class is already
-known: those an automorphism of the parent maps onto an earlier child
-(the orbit rule), and, in a connected enumeration, disconnected children
-on the last level (the connectivity cut).  Neither rule changes which
-representatives come out or their order.
+as orbits under automorphisms composed with switching.  A cotree vector
+is a bit vector over GF(2) holding the signs of the fundamental cycles,
+which fix the switching class (Zaslavsky 1982), so each automorphism
+acts on it as a linear map; orbits are marked by XOR-ing precomputed
+columns, and a graph object is built only for each representative.
+Augmentation skips, before canonical labelling, the children whose class
+is already known: those an automorphism of the parent maps onto an
+earlier child (the orbit rule), and, in a connected enumeration,
+disconnected children on the last level (the connectivity cut).  Neither
+rule changes which representatives come out or their order.
 """
 
 from __future__ import annotations
@@ -31,12 +35,10 @@ from .core import (
     POS,
     SignedMultigraph,
     bfs_forest,
-    canonical_signature,
     components,
     contains_switching_subgraph,
     format_graph_text,
     is_switching_isomorphic,
-    relabel,
 )
 from .criticality import density_check, is_critical, is_two_connected
 from .solver import chi_c, is_colorable, verify_hom
@@ -170,30 +172,70 @@ def _signature_classes(
 ) -> list[SignedMultigraph]:
     """One signed representative per switching-isomorphism class over a
     fixed underlying multigraph: orbits of cotree sign vectors under its
-    automorphism group ``auts``."""
+    automorphism group ``auts``.
+
+    Switching makes the BFS forest of the single edges positive, so a
+    switching class is a vector x over GF(2) with one bit per cotree
+    edge, its sign (NEG = 1); bit k-1-j belongs to ``cotree[j]``, so
+    ascending x is ``itertools.product((POS, NEG), repeat=k)`` order.
+    By Zaslavsky (Signed graphs, 1982) the class is fixed by its cycle
+    signs, and the cotree bits are the signs of the fundamental cycles.
+    An automorphism s moves cotree edge e onto s(e): if s(e) is the
+    cotree edge d, x's bit e lands on d; if s(e) is a forest edge f, it
+    lands on every cotree edge whose fundamental cycle uses f.  Those
+    are the columns of a linear map, and the image of x is the XOR of
+    the columns of its set bits.  Digons are sign-symmetric and do not
+    enter.
+
+    This equals re-normalising the relabelled graph with
+    ``canonical_signature``: s keeps the single-edge pairs, bfs_forest
+    sorts its neighbour lists, so the relabelled graph has the same
+    forest, and switching it positive leaves each cotree edge with the
+    sign of its fundamental cycle.  The first x of an orbit in ascending
+    order is its representative, as before."""
     singles = sorted(p for p, st in pairs.items() if st == 1)
     digons = sorted(p for p, st in pairs.items() if st == 2)
-    # The forest canonical_signature switches positive, so every class
-    # has a representative among these cotree sign vectors.
-    forest = {(min(u, w), max(u, w)) for (u, w) in bfs_forest(n, singles)}
-    cotree = [p for p in singles if p not in forest]
+    forest = bfs_forest(n, singles)
+    parent = list(range(n))
+    depth = [0] * n
+    for (u, w) in forest:
+        parent[w] = u
+        depth[w] = depth[u] + 1
+    # column[e]: the cotree bits that pair e's sign flips.  A cotree
+    # edge flips its own bit; a forest edge flips every cotree edge whose
+    # fundamental cycle (tree path between its ends) runs through it.
+    column = {(min(u, w), max(u, w)): 0 for (u, w) in forest}
+    cotree = [p for p in singles if p not in column]
+    k = len(cotree)
+    bit_of = {p: 1 << (k - 1 - j) for j, p in enumerate(cotree)}
+    for (a, b), bit in bit_of.items():
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            column[(min(a, parent[a]), max(a, parent[a]))] |= bit
+            a = parent[a]
+    column.update(bit_of)
+    # maps[i][b]: the image of bit b under auts[i], lowest bit first.
+    maps = [
+        [column[(min(perm[a], perm[b]), max(perm[a], perm[b]))] for (a, b) in reversed(cotree)]
+        for perm in auts
+    ]
+    digon_edges = [(a, b, POS) for (a, b) in digons] + [(a, b, NEG) for (a, b) in digons]
     reps: list[SignedMultigraph] = []
-    seen: set = set()
-    for bits in itertools.product((POS, NEG), repeat=len(cotree)):
-        sign_of = {p: POS for p in singles}
-        for p, s in zip(cotree, bits):
-            sign_of[p] = s
-        edges = [(a, b, sign_of[(a, b)]) for (a, b) in singles]
-        edges += [(a, b, POS) for (a, b) in digons] + [(a, b, NEG) for (a, b) in digons]
-        g = SignedMultigraph(n, tuple(sorted(edges)))
-        key = g._key()
-        if key in seen:
+    seen = bytearray(1 << k)
+    for x in range(1 << k):
+        if seen[x]:
             continue
-        # First cotree vector of a fresh orbit is the class representative;
-        # the orbit under (automorphism, then re-normalize) marks the rest.
-        reps.append(g)
-        for perm in auts:
-            seen.add(canonical_signature(relabel(g, perm))._key())
+        edges = [(a, b, NEG if bit_of.get((a, b), 0) & x else POS) for (a, b) in singles]
+        reps.append(SignedMultigraph(n, tuple(sorted(edges + digon_edges))))
+        for cols in maps:
+            y = 0
+            rest = x
+            for col in cols:
+                if rest & 1:
+                    y ^= col
+                rest >>= 1
+            seen[y] = 1
     return reps
 
 

@@ -117,17 +117,21 @@ def is_interval(colors) -> Optional[Interval]:
 NEIGH = {s: tuple(neighbor_mask(P103, c, s) for c in range(10)) for s in (POS, NEG)}
 
 
+# The tables below are built by plain list passes and converted once:
+# numpy operations would be faster still, but the first use of each
+# numpy kernel maps its code into every process that imports this
+# module, about 0.5 MB in all, and most processes never use these.
+
+
 def _union_table(sign: int) -> np.ndarray:
-    out = np.zeros(1 << 10, dtype=np.int64)
-    for m in range(1 << 10):
-        acc = 0
-        rest = m
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            acc |= NEIGH[sign][bit.bit_length() - 1]
-        out[m] = acc
-    return out
+    """Per mask, the union of the sign-neighborhoods of its colors: the
+    entry of the mask without its lowest bit, plus that color's."""
+    row = NEIGH[sign]
+    out = [0] * (1 << 10)
+    for m in range(1, 1 << 10):
+        low = m & -m
+        out[m] = out[m ^ low] | row[low.bit_length() - 1]
+    return np.array(out, dtype=np.int64)
 
 
 NBR_POS = _union_table(POS)
@@ -140,10 +144,13 @@ POPCNT = np.array([bin(m).count("1") for m in range(1 << 10)], dtype=np.int64)
 TRIANGLES = tuple((x, (x + 3) % 10, (x + 6) % 10) for x in range(10))
 
 # Membership pattern of a mask in triangle x: 3 bits, one per slot.
-_PAT = np.zeros((10, 1 << 10), dtype=np.uint8)
-for _x, _tri in enumerate(TRIANGLES):
-    for _m in range(1 << 10):
-        _PAT[_x, _m] = sum(((_m >> c) & 1) << i for i, c in enumerate(_tri))
+_PAT = np.array(
+    [
+        [(m >> a & 1) | (m >> b & 1) << 1 | (m >> c & 1) << 2 for m in range(1 << 10)]
+        for (a, b, c) in TRIANGLES
+    ],
+    dtype=np.uint8,
+)
 
 # ACC[r1, r2]: bitmask over patterns r3 completing a perfect matching of
 # triangle slots {0,1,2} against row patterns (r1, r2, r3).
@@ -159,24 +166,31 @@ for _r1 in range(8):
                 acc |= 1 << _r3
         _ACC[_r1, _r2] = acc
 
-# 80-bit acceptance profiles, split into two uint64 words: bit x*8 + r3.
-_PROF_LO = np.zeros(1 << 10, dtype=np.uint64)
-_PROF_HI = np.zeros(1 << 10, dtype=np.uint64)
-for _m in range(1 << 10):
-    lo = hi = 0
-    for _x in range(10):
-        pat = int(_PAT[_x, _m])
-        if _x < 8:
-            lo |= 1 << (_x * 8 + pat)
-        else:
-            hi |= 1 << ((_x - 8) * 8 + pat)
-    _PROF_LO[_m] = lo
-    _PROF_HI[_m] = hi
 
-MASKS_BY_SIZE = tuple(
-    np.array([m for m in range(1 << 10) if bin(m).count("1") == k], dtype=np.int64)
-    for k in range(11)
-)
+def _profiles() -> tuple[np.ndarray, np.ndarray]:
+    """80-bit acceptance profiles: bit x*8 + r3, triangles x < 8 in a
+    uint64 low word and x = 8, 9 in a uint16 high word."""
+    lo = [0] * (1 << 10)
+    hi = [0] * (1 << 10)
+    for x, pats in enumerate(_PAT.tolist()):
+        if x < 8:
+            lo = [w | 1 << (8 * x + r) for w, r in zip(lo, pats)]
+        else:
+            hi = [w | 1 << (8 * (x - 8) + r) for w, r in zip(hi, pats)]
+    return np.array(lo, dtype=np.uint64), np.array(hi, dtype=np.uint16)
+
+
+_PROF_LO, _PROF_HI = _profiles()
+
+
+def _masks_by_size() -> tuple[np.ndarray, ...]:
+    by_size: list[list[int]] = [[] for _ in range(11)]
+    for m, k in enumerate(POPCNT.tolist()):
+        by_size[k].append(m)
+    return tuple(np.array(ms, dtype=np.int64) for ms in by_size)
+
+
+MASKS_BY_SIZE = _masks_by_size()
 
 
 def _neg_graph_bipartite(mask: int) -> bool:
@@ -577,6 +591,12 @@ def _verify_neg_tri_18(max_witnesses: int = 50) -> LemmaReport:
     rep = LemmaReport("NEG_TRI_18", 0)
     rep.notes.append("isomorphism group: dihedral (10 rotations x reflection)")
     total = 0
+    # One set of (A, B, C) work buffers for every chunk; views of the
+    # first A*B*C cells are reshaped per chunk.
+    cells = int(4e6)
+    word_buf = np.empty(cells, dtype=np.uint64)
+    spare_buf = np.empty(cells, dtype=np.uint16)
+    colorable_buf = np.empty(cells, dtype=bool)
     for a in range(11):
         for b in range(11):
             c = 18 - a - b
@@ -585,29 +605,34 @@ def _verify_neg_tri_18(max_witnesses: int = 50) -> LemmaReport:
             A, B, C = MASKS_BY_SIZE[a], MASKS_BY_SIZE[b], MASKS_BY_SIZE[c]
             prof_lo_c = _PROF_LO[C]
             prof_hi_c = _PROF_HI[C]
-            chunk = max(1, int(4e6) // max(1, len(B) * len(C)))
+            chunk = max(1, cells // max(1, len(B) * len(C)))
             for lo in range(0, len(A), chunk):
                 asub = A[lo : lo + chunk]
                 lu = asub[:, None, None]
                 lv = B[None, :, None]
                 lw = C[None, None, :]
                 acc_lo = np.zeros((len(asub), len(B)), dtype=np.uint64)
-                acc_hi = np.zeros((len(asub), len(B)), dtype=np.uint64)
+                acc_hi = np.zeros((len(asub), len(B)), dtype=np.uint16)
                 pat_u = _PAT[:, asub]
                 pat_v = _PAT[:, B]
                 for x in range(10):
-                    acc = _ACC[pat_u[x][:, None], pat_v[x][None, :]].astype(np.uint64)
+                    acc = _ACC[pat_u[x][:, None], pat_v[x][None, :]]
                     if x < 8:
-                        acc_lo |= acc << np.uint64(8 * x)
+                        acc_lo |= acc.astype(np.uint64) << np.uint64(8 * x)
                     else:
-                        acc_hi |= acc << np.uint64(8 * (x - 8))
-                colorable = (
-                    (acc_lo[:, :, None] & prof_lo_c[None, None, :])
-                    | (acc_hi[:, :, None] & prof_hi_c[None, None, :])
-                ) != 0
+                        acc_hi |= acc.astype(np.uint16) << np.uint16(8 * (x - 8))
+                shape = (len(asub), len(B), len(C))
+                size = shape[0] * shape[1] * shape[2]
+                word = word_buf[:size].reshape(shape)
+                spare = spare_buf[:size].reshape(shape)
+                colorable = colorable_buf[:size].reshape(shape)
+                np.bitwise_and(acc_lo[:, :, None], prof_lo_c[None, None, :], out=word)
+                np.bitwise_and(acc_hi[:, :, None], prof_hi_c[None, None, :], out=spare)
+                np.bitwise_or(word, spare, out=word)
+                np.not_equal(word, 0, out=colorable)
                 family = _neg_tri_family_vector(a, b, c, lu, lv, lw)
                 total += colorable.size
-                bad = colorable == family  # either direction failing
+                bad = np.equal(colorable, family, out=colorable)  # either direction failing
                 if bad.any():
                     for (i, j, k) in zip(*np.nonzero(bad)):
                         triple = (int(asub[i]), int(B[j]), int(C[k]))

@@ -4,10 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
-from sgchrom import _canon
+from sgchrom import _canon, campaigns, core
 from sgchrom.campaigns import (
     CAMPAIGN_IDS,
     EnumSpec,
+    _signature_classes,
+    _underlying_classes,
     campaign_T_surjective,
     campaign_brooks,
     campaign_negative_cycles,
@@ -22,10 +24,13 @@ from sgchrom.core import (
     NEG,
     POS,
     SignedMultigraph,
+    bfs_forest,
+    canonical_signature,
     format_graph_text,
     is_switching_isomorphic,
     make_graph,
     parse_graph_text,
+    relabel,
 )
 from sgchrom.solver import is_colorable
 
@@ -62,6 +67,32 @@ def census_oracle_direct(n: int, allow_digons: bool) -> int:
                     best = key
         classes.add(best)
     return len(classes)
+
+
+def signature_classes_by_relabelling(n, pairs, auts):
+    """The orbit rule ``_signature_classes`` replaced: build each cotree
+    sign vector as a graph, in itertools.product order, and mark an
+    orbit by re-normalising every relabelled copy with
+    ``canonical_signature``."""
+    singles = sorted(p for p, st in pairs.items() if st == 1)
+    digons = sorted(p for p, st in pairs.items() if st == 2)
+    forest = {(min(u, w), max(u, w)) for (u, w) in bfs_forest(n, singles)}
+    cotree = [p for p in singles if p not in forest]
+    reps = []
+    seen = set()
+    for bits in itertools.product((POS, NEG), repeat=len(cotree)):
+        sign_of = {p: POS for p in singles}
+        for p, s in zip(cotree, bits):
+            sign_of[p] = s
+        edges = [(a, b, sign_of[(a, b)]) for (a, b) in singles]
+        edges += [(a, b, POS) for (a, b) in digons] + [(a, b, NEG) for (a, b) in digons]
+        g = SignedMultigraph(n, tuple(sorted(edges)))
+        if g._key() in seen:
+            continue
+        reps.append(g)
+        for perm in auts:
+            seen.add(canonical_signature(relabel(g, perm))._key())
+    return reps
 
 
 class TestEnumerate:
@@ -182,6 +213,47 @@ class TestEnumerate:
         for _ in enumerate_signed(spec):
             pass
         assert len(seen) == calls
+
+    def test_no_canonical_signature_calls(self, monkeypatch):
+        """Work guard: signature orbits are marked by bit arithmetic, so
+        enumeration never builds and re-normalises a relabelled graph."""
+        seen = []
+
+        def counting(g):
+            seen.append(g)
+            return canonical_signature(g)
+
+        monkeypatch.setattr(core, "canonical_signature", counting)
+        monkeypatch.setattr(campaigns, "canonical_signature", counting, raising=False)
+        for spec in (
+            EnumSpec(n_max=5, allow_digons=True),
+            EnumSpec(n_max=7, simple=True, connected=True, max_degree=3),
+        ):
+            for _ in enumerate_signed(spec):
+                pass
+        assert seen == []
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EnumSpec(n_max=5, allow_digons=True),
+            EnumSpec(n_max=6, allow_digons=True, connected=True, max_degree=4),
+        ],
+        ids=["digons-5", "digons-connected-6"],
+    )
+    def test_orbit_maps_match_relabelling(self, spec):
+        """The GF(2) orbit maps give the representatives, in the same
+        order and with the same edge lists, as the rule they replaced,
+        for every underlying class (disconnected ones included)."""
+        checked = 0
+        for size, reps in _underlying_classes(spec):
+            for pairs, auts in reps:
+                got = _signature_classes(size, pairs, auts)
+                want = signature_classes_by_relabelling(size, pairs, auts)
+                assert [g.edges for g in got] == [g.edges for g in want], (size, pairs)
+                assert all(g.n == size for g in got)
+                checked += 1
+        assert checked > 100
 
 
 class TestTSurjective:

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from sgchrom.clique import CliqueParams
@@ -297,3 +298,72 @@ class TestNegTri18Pieces:
             if all(cyclic_distance(10, a, b) >= 3 for a, b in itertools.combinations(t, 2))
         )
         assert count == 10
+
+
+class TestImportTables:
+    """The import-time bit tables are built by faster passes than the
+    loops that define them; each must equal its defining loop, with the
+    same dtype."""
+
+    @staticmethod
+    def popcount(m):
+        return bin(m).count("1")
+
+    def test_union_tables(self):
+        from sgchrom.lists import NBR, NBR_NEG, NBR_POS, NEIGH
+
+        for sign, table in ((POS, NBR_POS), (NEG, NBR_NEG)):
+            want = np.zeros(1 << 10, dtype=np.int64)
+            for m in range(1 << 10):
+                acc = 0
+                rest = m
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    acc |= NEIGH[sign][bit.bit_length() - 1]
+                want[m] = acc
+            assert table.dtype == want.dtype
+            assert np.array_equal(table, want)
+            assert NBR[sign] is table
+
+    def test_popcount(self):
+        from sgchrom.lists import POPCNT
+
+        want = np.array([self.popcount(m) for m in range(1 << 10)], dtype=np.int64)
+        assert POPCNT.dtype == want.dtype
+        assert np.array_equal(POPCNT, want)
+
+    def test_triangle_patterns(self):
+        from sgchrom.lists import _PAT, TRIANGLES
+
+        want = np.zeros((10, 1 << 10), dtype=np.uint8)
+        for x, tri in enumerate(TRIANGLES):
+            for m in range(1 << 10):
+                want[x, m] = sum(((m >> c) & 1) << i for i, c in enumerate(tri))
+        assert _PAT.dtype == want.dtype
+        assert np.array_equal(_PAT, want)
+
+    def test_acceptance_profiles(self):
+        from sgchrom.lists import _PAT, _PROF_HI, _PROF_LO
+
+        for m in range(1 << 10):
+            lo = hi = 0
+            for x in range(10):
+                pat = int(_PAT[x, m])
+                if x < 8:
+                    lo |= 1 << (x * 8 + pat)
+                else:
+                    hi |= 1 << ((x - 8) * 8 + pat)
+            assert int(_PROF_LO[m]) == lo
+            assert int(_PROF_HI[m]) == hi
+        assert _PROF_LO.dtype == np.uint64
+        assert _PROF_HI.dtype == np.uint16  # x = 8, 9 need 16 bits
+
+    def test_masks_by_size(self):
+        from sgchrom.lists import MASKS_BY_SIZE
+
+        assert len(MASKS_BY_SIZE) == 11
+        for k, got in enumerate(MASKS_BY_SIZE):
+            want = np.array([m for m in range(1 << 10) if self.popcount(m) == k], dtype=np.int64)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)

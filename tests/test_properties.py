@@ -1,5 +1,6 @@
 """Property tests for switching, canonical signatures, subgraph search,
-the component walk and colorability, on small random signed multigraphs.
+the component walk, colorability and its monotonicity under subgraphs,
+on small random signed multigraphs.
 
 Derandomized, so every run draws the same examples."""
 
@@ -21,7 +22,7 @@ from sgchrom.core import (
     switch,
     switching_set,
 )
-from sgchrom.solver import find_sp_hom, verify_hom
+from sgchrom.solver import Homomorphism, find_sp_hom, verify_hom
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -156,3 +157,27 @@ def test_colorability_invariant_under_switching_and_relabeling(case, pq):
     for graph, witness in ((g, hom), (relabel(switch(g, xs), perm), other)):
         if witness is not None:
             assert verify_hom(graph, witness)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(graphs(max_n=6, max_m=9, loops=False), st.sampled_from([(6, 2), (8, 3), (10, 3)]))
+def test_colorability_is_monotone_under_subgraphs(g, pq):
+    """Deleting one edge or one vertex of a colorable graph leaves a
+    colorable graph, and the witness, restricted to what is left,
+    colors it."""
+    hom = find_sp_hom(g, pq)
+    if hom is None:
+        return
+    for i in range(g.m):
+        h = SignedMultigraph(g.n, g.edges[:i] + g.edges[i + 1 :])
+        assert find_sp_hom(h, pq) is not None
+        assert verify_hom(h, hom)
+    for v in range(g.n):
+        keep = [u for u in range(g.n) if u != v]
+        index = {u: i for i, u in enumerate(keep)}
+        h = SignedMultigraph(
+            g.n - 1,
+            tuple((index[a], index[b], s) for (a, b, s) in g.edges if v not in (a, b)),
+        )
+        assert find_sp_hom(h, pq) is not None
+        assert verify_hom(h, Homomorphism(hom.params, tuple(hom.assignment[u] for u in keep)))
