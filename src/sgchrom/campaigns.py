@@ -64,15 +64,12 @@ class EnumSpec:
 
     n_max: int
     max_degree: Optional[int] = None
-    simple: bool = True
     connected: bool = False
     allow_digons: bool = False
 
     def __post_init__(self):
         if not (1 <= self.n_max <= 10):
             raise ValueError("n_max must be between 1 and 10")
-        if self.allow_digons and self.simple:
-            object.__setattr__(self, "simple", False)
 
 
 @dataclass
@@ -319,7 +316,7 @@ def campaign_small_3colorable(threads: int = 1) -> CampaignReport:
     t_graph = build("T").graph
     k4 = build("K4_MINUS").graph
     graphs = []
-    for g in enumerate_signed(EnumSpec(n_max=5, simple=True)):
+    for g in enumerate_signed(EnumSpec(n_max=5)):
         if g.m > 7:
             continue
         if g.n == t_graph.n and g.m == t_graph.m and is_switching_isomorphic(g, t_graph):
@@ -397,7 +394,7 @@ def campaign_brooks(n_max: int = 7, threads: int = 1) -> CampaignReport:
     k4 = build("K4_MINUS").graph
     graphs = []
     excluded = 0
-    for g in enumerate_signed(EnumSpec(n_max=n_max, simple=True, connected=True, max_degree=3)):
+    for g in enumerate_signed(EnumSpec(n_max=n_max, connected=True, max_degree=3)):
         if g.n == 4 and g.m == 6 and is_switching_isomorphic(g, k4):
             excluded += 1
             continue

@@ -85,6 +85,8 @@ def _read_coloring(path: str, g, p: int) -> Homomorphism:
 def _parse_fraction(text: str) -> Fraction:
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"fraction {text!r} has a zero denominator")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 

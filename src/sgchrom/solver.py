@@ -1,12 +1,17 @@
 """Edge-sign-preserving homomorphisms into signed circular cliques.
 
+All search runs in one FC-CBJ loop, ``_search``: backtracking with
+forward checking and conflict-directed backjumping (Prosser 1993) along
+a static order.  It is an iterative generator that keeps its state in
+per-depth lists, so graph size is not bounded by the recursion limit,
+and it yields every coloring in lexicographic order.
+
 ``find_sp_hom`` decides colorability exactly, one connected component at
-a time, with two deciders.  It starts with FC-CBJ: backtracking search
-with forward checking and conflict-directed backjumping (Prosser 1993)
-along a static maximum-cardinality order.  A search that reaches its
-first checkpoint, at 2,048 nodes, where it also reads the clock, hands
-the component to bucket elimination (Dechter 1999) in the reverse of
-the same order, provided that no list domains are given, p <= 32, and
+a time, by taking the first coloring the loop yields along a static
+maximum-cardinality order.  At a component's 2,048th node, its first
+checkpoint, where it also reads the clock, the loop may return the
+answer of bucket elimination (Dechter 1999) in the reverse of the same
+order instead, provided that no list domains are given, p <= 32, and
 the elimination's largest join grid has at most 2**20 cells; otherwise
 FC-CBJ carries on.  Each elimination function is stored once per
 rotation class: rotating every color is an automorphism of the clique,
@@ -18,7 +23,8 @@ Both deciders return the same witness, the lexicographically first
 coloring in the static order with the first vertex at color 0: forward
 checking and backjumping discard only values and subtrees that contain
 no solution, and elimination's back-substitution gives each vertex the
-least color that extends to a solution.
+least color that extends to a solution.  ``enumerate_homs`` runs the
+same loop to the end in vertex order, without pinning.
 
 ``chi_c`` walks candidate fractions p/q in strictly increasing order
 and returns the first colorable one together with a witness and the
@@ -28,12 +34,12 @@ denominator budget.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .clique import CliqueParams, _neighbor_masks, _params, adjacency
 from .core import POS, SignedMultigraph, components
@@ -92,43 +98,13 @@ def verify_hom(g: SignedMultigraph, h: Homomorphism) -> bool:
 _CHECK_NODES = 2048
 
 
-class _SwitchToElimination(Exception):
-    """Raised out of FC-CBJ at a checkpoint when elimination takes over."""
-
-    def __init__(self, parents: list[list[int]]):
-        super().__init__()
-        self.parents = parents
-
-
 class _Deadline:
-    """Node counter of one find_sp_hom call.  At each checkpoint it reads
-    the clock, and at a component's first checkpoint it may switch the
-    component to elimination."""
+    """Wall-clock limit of one find_sp_hom call, read at checkpoints."""
 
-    __slots__ = ("t_end", "nodes", "next_check", "planner")
+    __slots__ = ("t_end",)
 
     def __init__(self, seconds: Optional[float]):
         self.t_end = None if seconds is None else time.monotonic() + seconds
-        self.nodes = 0
-        self.next_check = _CHECK_NODES
-        self.planner = None
-
-    def start(self, planner: Optional[Callable[[], Optional[list[list[int]]]]]):
-        """A component's search begins.  ``planner`` is called at its first
-        checkpoint; a plan it returns switches the component to elimination."""
-        self.next_check = self.nodes + _CHECK_NODES
-        self.planner = planner
-
-    def tick(self):
-        self.nodes += 1
-        if self.nodes == self.next_check:
-            self.next_check += _CHECK_NODES
-            self.check_clock()
-            planner, self.planner = self.planner, None
-            if planner is not None:
-                parents = planner()
-                if parents is not None:
-                    raise _SwitchToElimination(parents)
 
     def check_clock(self):
         if self.t_end is not None and time.monotonic() > self.t_end:
@@ -164,7 +140,9 @@ def _static_order(g: SignedMultigraph, vertices: Sequence[int]) -> list[int]:
     take the vertex with the most already-ordered neighbors (ties: higher
     degree, then lower index).  Deterministic, and it keeps forward
     checking constantly engaged on gadget-like graphs.  Degrees (a loop
-    counts 2) and neighbor sets come from one pass over the edges."""
+    counts 2) and neighbor sets come from one pass over the edges; the
+    picks come from a heap of (-placed, -degree, v) entries, where an
+    entry whose placed count has since grown is stale and skipped."""
     deg = dict.fromkeys(vertices, 0)
     nbrs: dict[int, set[int]] = {v: set() for v in vertices}
     for (a, b, _) in g.edges:
@@ -175,57 +153,84 @@ def _static_order(g: SignedMultigraph, vertices: Sequence[int]) -> list[int]:
             if a in deg and a != b:
                 nbrs[a].add(b)
                 nbrs[b].add(a)
-    placed = dict.fromkeys(vertices, 0)  # already-ordered neighbors
+    placed = dict.fromkeys(vertices, 0)  # already-ordered neighbors; None once ordered
+    heap = [(0, -deg[v], v) for v in vertices]
+    heapq.heapify(heap)
     order: list[int] = []
-    rest = set(vertices)
-    while rest:
-        best = max(rest, key=lambda v: (placed[v], deg[v], -v))
-        order.append(best)
-        rest.discard(best)
-        for u in nbrs[best]:
-            placed[u] += 1
+    while heap:
+        k, _, v = heapq.heappop(heap)
+        if placed[v] != -k:
+            continue
+        order.append(v)
+        placed[v] = None
+        for u in nbrs[v]:
+            if placed[u] is not None:
+                placed[u] += 1
+                heapq.heappush(heap, (-placed[u], -deg[u], u))
     return order
 
 
-def _search(order, domains, tables, deadline, pr) -> Optional[list[int]]:
-    """Forward checking with conflict-directed backjumping.
+def _search(order, domains, tables, deadline, elim_p=None) -> Iterator[Sequence[int]]:
+    """Forward checking with conflict-directed backjumping (FC-CBJ).
 
-    Plain chronological backtracking re-enumerates the internal solutions
-    of already-satisfied private substructures (edge gadgets, pendant
-    trees) while a later part of the graph is the real culprit, which is
-    exponentially wasteful on gadget-replaced graphs.  Backjumping keeps
-    the search complete and deterministic: on a wipeout the conflict is
-    charged to the depths that pruned the wiped vertex, and an exhausted
-    vertex jumps straight to the deepest depth in its conflict set.
+    Yields every coloring of ``order`` (colors listed in that order), in
+    lexicographic order.  Plain chronological backtracking re-enumerates
+    the internal solutions of already-satisfied private substructures
+    (edge gadgets, pendant trees) while a later part of the graph is the
+    real culprit, which is exponentially wasteful on gadget-replaced
+    graphs.  Backjumping keeps the search complete and deterministic: on
+    a wipeout the conflict is charged to the depths that pruned the wiped
+    vertex, and an exhausted depth jumps straight to the deepest depth in
+    its conflict set.  After a solution the last depth's conflict set
+    holds every earlier depth, so the search backs out of that
+    solution's subtree one depth at a time and skips no other solution.
+
+    The search state lives in per-depth lists, not on the call stack.
+    Every _CHECK_NODES nodes it reads the clock.  At the first such
+    checkpoint, when ``elim_p`` (the clique's p) is given and _plan finds
+    a small enough elimination, the search yields _eliminate's coloring,
+    if there is one, and stops; that needs order[0] pinned to color 0.
 
     ``domains`` is mutated during the search.
     """
     n = len(order)
-    pos_in_order = {v: i for i, v in enumerate(order)}
-    later = [[] for _ in range(n)]
-    for i, v in enumerate(order):
-        for (a, b) in tables:
-            if a == v and pos_in_order[b] > i:
-                later[i].append((pos_in_order[b], b, tables[(a, b)]))
+    if not n:
+        yield ()
+        return
+    pos = {v: i for i, v in enumerate(order)}
+    later: list[list] = [[] for _ in range(n)]
+    for (a, b), tab in tables.items():
+        i = pos.get(a)
+        if i is not None and pos[b] > i:
+            later[i].append((pos[b], b, tab))
     assignment = [-1] * n
+    untried = [0] * n  # colors of order[i] still to try at depth i
+    trails: list[list] = [[] for _ in range(n)]  # domains depth i narrowed
     # past_fc[j]: depths whose assignments pruned order[j]'s domain.
     past_fc: list[set[int]] = [set() for _ in range(n)]
     conf_set: list[set[int]] = [set() for _ in range(n)]
-    JUMP_DONE = n + 1
-
-    def assign(i: int) -> int:
-        """Returns JUMP_DONE on success, else the depth to jump back to."""
-        if i == n:
-            return JUMP_DONE
-        v = order[i]
-        dom = domains[v]
+    nodes = 0
+    next_check = _CHECK_NODES
+    i = 0
+    untried[0] = domains[order[0]]
+    while True:
+        dom = untried[i]
         while dom:
             bit = dom & -dom
             dom ^= bit
             c = bit.bit_length() - 1
-            deadline.tick()
-            trail = []
-            wiped = -1
+            nodes += 1
+            if nodes == next_check:
+                next_check += _CHECK_NODES
+                deadline.check_clock()
+                if elim_p is not None and nodes == _CHECK_NODES:
+                    parents = _plan(order, tables, elim_p)
+                    if parents is not None:
+                        sol = _eliminate(order, tables, parents, elim_p, deadline)
+                        if sol is not None:
+                            yield sol
+                        return
+            trail = trails[i] = []
             for (j, w, tab) in later[i]:
                 old = domains[w]
                 new = old & tab[c]
@@ -234,44 +239,36 @@ def _search(order, domains, tables, deadline, pr) -> Optional[list[int]]:
                     domains[w] = new
                     past_fc[j].add(i)
                     if new == 0:
-                        wiped = j
+                        conf_set[i] |= past_fc[j] - {i}
                         break
-            if wiped >= 0:
-                conf_set[i] |= past_fc[wiped] - {i}
-            else:
+            else:  # no wipeout
                 assignment[i] = c
-                target = assign(i + 1)
-                if target == JUMP_DONE:
-                    return JUMP_DONE
-                assignment[i] = -1
-                if target < i:
-                    # Being jumped over: undo and reset this level's state.
-                    for (j, w, old) in trail:
-                        domains[w] = old
-                        past_fc[j].discard(i)
-                    conf_set[i] = set()
-                    return target
+                if i + 1 < n:  # descend; this depth resumes from untried[i]
+                    untried[i] = dom
+                    i += 1
+                    untried[i] = domains[order[i]]
+                    break
+                yield tuple(assignment)
+                conf_set[i] = set(range(i))
             for (j, w, old) in trail:
                 domains[w] = old
                 past_fc[j].discard(i)
-        # Domain exhausted: jump to the deepest depth that constrained us.
-        conflicts = conf_set[i] | past_fc[i]
-        if not conflicts:
-            return -1
-        target = max(conflicts)
-        conf_set[target] |= conflicts - {target}
-        conf_set[i] = set()
-        return target
-
-    try:
-        result = assign(0)
-    finally:
-        # assign reaches itself through its closure; emptying that cell
-        # frees the search state now rather than at a full collection.
-        del assign
-    if result == JUMP_DONE:
-        return [assignment[i] for i in range(n)]
-    return None
+        else:
+            # Domain exhausted: jump to the deepest depth that constrained
+            # us, undoing the depths in between and resetting their state.
+            conflicts = conf_set[i] | past_fc[i]
+            conf_set[i] = set()
+            if not conflicts:
+                return
+            target = max(conflicts)
+            while i > target:
+                i -= 1
+                for (j, w, old) in trails[i]:
+                    domains[w] = old
+                    past_fc[j].discard(i)
+                if i > target:
+                    conf_set[i] = set()
+            conf_set[target] |= conflicts - {target}
 
 
 # -- bucket elimination ----------------------------------------------------
@@ -446,16 +443,12 @@ def find_sp_hom(
     tables = _pair_tables(g, pr)
     deadline = _Deadline(deadline_s)
     result = [0] * g.n
-    switchable = pin and pr.p <= _MAX_ELIMINATION_P
+    elim_p = pr.p if pin and pr.p <= _MAX_ELIMINATION_P else None
     for comp in components(g.n, ((u, v) for (u, v, _) in g.edges)):
         order = _static_order(g, comp)
         if pin:
             doms[order[0]] = 1  # color 0 only; rotation symmetry
-        deadline.start(partial(_plan, order, tables, pr.p) if switchable else None)
-        try:
-            sol = _search(order, doms, tables, deadline, pr)
-        except _SwitchToElimination as switch:
-            sol = _eliminate(order, tables, switch.parents, pr.p, deadline)
+        sol = next(_search(order, doms, tables, deadline, elim_p), None)
         if sol is None:
             return None
         for v, c in zip(order, sol):
@@ -479,67 +472,38 @@ def enumerate_homs(
     pr = _params(params)
     if g.has_negative_loop:
         return
-    full = (1 << pr.p) - 1
-    tables = _pair_tables(g, pr)
-    later = [
-        [(w, tables[(v, w)]) for w in range(v + 1, g.n) if (v, w) in tables]
-        for v in range(g.n)
-    ]
-    doms = [full] * g.n
-    assignment = [0] * g.n
+    doms = [(1 << pr.p) - 1] * g.n
     count = 0
-
-    def emit(v: int):
-        nonlocal count
-        if v == g.n:
-            if cap is not None and count >= cap:
-                raise EnumerationTruncated(cap)
-            count += 1
-            yield Homomorphism(pr, tuple(assignment))
-            return
-        dom = doms[v]
-        while dom:
-            bit = dom & -dom
-            dom ^= bit
-            c = bit.bit_length() - 1
-            trail = []
-            dead = False
-            for (w, tab) in later[v]:
-                old = doms[w]
-                new = old & tab[c]
-                if new != old:
-                    trail.append((w, old))
-                    doms[w] = new
-                    if new == 0:
-                        dead = True
-                        break
-            if not dead:
-                assignment[v] = c
-                yield from emit(v + 1)
-            for (w, old) in trail:
-                doms[w] = old
-        return
-
-    yield from emit(0)
+    for colors in _search(list(range(g.n)), doms, _pair_tables(g, pr), _Deadline(None)):
+        if cap is not None and count >= cap:
+            raise EnumerationTruncated(cap)
+        count += 1
+        yield Homomorphism(pr, colors)
 
 
 # -- exact circular chromatic number ---------------------------------------
 
 
-def candidate_params(q_max: int, ceiling: Fraction) -> list[CliqueParams]:
+def candidate_params(q_max: int, ceiling: Fraction) -> Iterator[CliqueParams]:
     """All candidate cliques with q <= q_max and value <= ceiling, one per
-    rational value (the representative with minimal even p), sorted by
-    strictly increasing value."""
-    best: dict[Fraction, CliqueParams] = {}
-    for q in range(1, q_max + 1):
-        p = 2 * q
-        while Fraction(p, q) <= ceiling:
-            val = Fraction(p, q)
-            cur = best.get(val)
-            if cur is None or p < cur.p:
-                best[val] = CliqueParams(p, q)
-            p += 2
-    return [best[v] for v in sorted(best)]
+    rational value (the representative with minimal even p), in strictly
+    increasing order of value.
+
+    One stream p = 2q, 2q + 2, ... per denominator is merged through a
+    heap keyed (value, p, q), so the first of equal values has the least
+    p and the later ones are skipped; candidates are made only as far as
+    the caller reads."""
+    # Each stream starts at value 2; listed by ascending p, that is a heap.
+    heap = [(Fraction(2), 2 * q, q) for q in range(1, q_max + 1)] if ceiling >= 2 else []
+    last = None
+    while heap:
+        val, p, q = heapq.heappop(heap)
+        if val != last:
+            last = val
+            yield CliqueParams(p, q)
+        nxt = Fraction(p + 2, q)
+        if nxt <= ceiling:
+            heapq.heappush(heap, (nxt, p + 2, q))
 
 
 @dataclass
@@ -587,11 +551,12 @@ def chi_c(
     if q_max is None:
         q_max = g.n
     if ceiling is None:
-        loopless_deg = max(
-            (sum(1 for (a, b, _) in g.edges if a != b and v in (a, b)) for v in range(g.n)),
-            default=0,
-        )
-        ceiling = Fraction(2 * max(2, loopless_deg))
+        loopless_deg = [0] * g.n
+        for (a, b, _) in g.edges:
+            if a != b:
+                loopless_deg[a] += 1
+                loopless_deg[b] += 1
+        ceiling = Fraction(2 * max(2, max(loopless_deg)))
     t0 = time.monotonic()
     remaining = None if deadline_s is None else deadline_s
     rejected: list[CliqueParams] = []

@@ -97,7 +97,7 @@ def signature_classes_by_relabelling(n, pairs, auts):
 
 class TestEnumerate:
     def test_small_connected_simple_counts(self):
-        got = list(enumerate_signed(EnumSpec(n_max=3, simple=True, connected=True)))
+        got = list(enumerate_signed(EnumSpec(n_max=3, connected=True)))
         # K1; K2 (one class); P3 (one class); K3 (two classes: balanced and not)
         assert len(got) == 5
         triangles = [g for g in got if g.n == 3 and g.m == 3]
@@ -107,7 +107,7 @@ class TestEnumerate:
     def test_c4_has_two_signature_classes(self):
         got = [
             g
-            for g in enumerate_signed(EnumSpec(n_max=4, simple=True, connected=True))
+            for g in enumerate_signed(EnumSpec(n_max=4, connected=True))
             if g.n == 4 and g.m == 4 and all(g.degree(v) == 2 for v in range(4))
         ]
         assert len(got) == 2
@@ -142,7 +142,7 @@ class TestEnumerate:
                 assert not is_switching_isomorphic(g1, g2)
 
     def test_max_degree_filter(self):
-        for g in enumerate_signed(EnumSpec(n_max=5, simple=True, max_degree=3)):
+        for g in enumerate_signed(EnumSpec(n_max=5, max_degree=3)):
             assert g.max_degree() <= 3
 
     def test_n_max_cap(self):
@@ -158,12 +158,12 @@ class TestEnumerate:
                 "066301437c382d0d88bb65463745c8dc214077f6fcd834d6b9e410777b523067",
             ),
             (
-                EnumSpec(n_max=5, simple=True),
+                EnumSpec(n_max=5),
                 126,
                 "3da4bfd34bbe33b17adf77bc38fe9d1ffbaac136121e211c55f0a68eebf3ed28",
             ),
             (
-                EnumSpec(n_max=7, simple=True, connected=True, max_degree=3),
+                EnumSpec(n_max=7, connected=True, max_degree=3),
                 381,
                 "528497670f8bd7789ee089b3d0d2c61db948260ac01c88c7aecf9eb5369d81f4",
             ),
@@ -173,7 +173,7 @@ class TestEnumerate:
                 "9ac370bdbc07880a09d4131cb8e1570a3f53f22683bc50e8d087040fe48d2045",
             ),
             (
-                EnumSpec(n_max=8, simple=True, connected=True, max_degree=3),
+                EnumSpec(n_max=8, connected=True, max_degree=3),
                 1331,
                 "88a6e55b5ceb24a511ba08b02184c3251dc450a89ee55d381c8778a00bc2c4a2",
             ),
@@ -191,10 +191,10 @@ class TestEnumerate:
     @pytest.mark.parametrize(
         "spec,calls",
         [
-            (EnumSpec(n_max=5, simple=True), 118),
+            (EnumSpec(n_max=5), 118),
             (EnumSpec(n_max=5, allow_digons=True), 3318),
-            (EnumSpec(n_max=7, simple=True, connected=True, max_degree=3), 601),
-            (EnumSpec(n_max=8, simple=True, connected=True, max_degree=3), 1992),
+            (EnumSpec(n_max=7, connected=True, max_degree=3), 601),
+            (EnumSpec(n_max=8, connected=True, max_degree=3), 1992),
         ],
         ids=["simple-5", "digons-5", "subcubic-connected-7", "subcubic-connected-8"],
     )
@@ -227,7 +227,7 @@ class TestEnumerate:
         monkeypatch.setattr(campaigns, "canonical_signature", counting, raising=False)
         for spec in (
             EnumSpec(n_max=5, allow_digons=True),
-            EnumSpec(n_max=7, simple=True, connected=True, max_degree=3),
+            EnumSpec(n_max=7, connected=True, max_degree=3),
         ):
             for _ in enumerate_signed(spec):
                 pass

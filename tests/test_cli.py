@@ -43,6 +43,13 @@ class TestChiC:
         code, out, _ = run_cli(capsys, "chi-c", path, "--ceiling", "3/1")
         assert code == EXIT_MATH_FAIL
 
+    def test_zero_denominator_ceiling_is_usage_error(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "digon.sg", build("DIGON").graph)
+        code, out, err = run_cli(capsys, "chi-c", path, "--ceiling", "1/0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_deadline_inconclusive(self, tmp_path, capsys):
         # chi_c of the all-negative K9 at q_max=3 takes ~2 s undisturbed.
         k9 = make_graph(9, [(u, v, NEG) for u in range(9) for v in range(u + 1, 9)])

@@ -110,11 +110,13 @@ class TestEnumerateHoms:
             assert len(classes) == 5
 
     def test_counts_match_oracle(self):
-        rng = random.Random(43)
-        for _ in range(60):
-            g = random_signed_graph(rng, n_max=4, allow_digons=True)
-            got = len(list(enumerate_homs(g, (8, 3))))
-            assert got == oracle_count_homs(g, 8, 3)
+        # Every class with at most four vertices, digons included: the
+        # backjumping search misses no coloring and repeats none.
+        for g in small_classes(4):
+            for (p, q) in ((6, 2), (8, 3), (10, 3)):
+                homs = [h.assignment for h in enumerate_homs(g, (p, q))]
+                assert homs == sorted(set(homs)), (g, p, q)
+                assert len(homs) == oracle_count_homs(g, p, q), (g, p, q)
 
     def test_no_duplicates_lexicographic(self):
         g = build("T").graph
@@ -126,6 +128,23 @@ class TestEnumerateHoms:
         with pytest.raises(EnumerationTruncated):
             list(enumerate_homs(g, P103, cap=5))
         assert len(list(enumerate_homs(g, P103, cap=2000))) == 1000
+
+
+class TestLongPath:
+    """No recursion limit: search state is kept per depth, not per call."""
+
+    N = 3000
+    PATH = make_graph(N, [(v, v + 1, NEG if v % 3 else POS) for v in range(N - 1)])
+
+    def test_find_sp_hom(self):
+        h = find_sp_hom(self.PATH, P103)
+        assert h is not None and verify_hom(self.PATH, h)
+
+    def test_first_enumerated_hom(self):
+        assert verify_hom(self.PATH, next(enumerate_homs(self.PATH, P103)))
+
+    def test_chi_c(self):
+        assert chi_c(self.PATH).value == Fraction(2)
 
 
 class TestIsColorable:
@@ -146,7 +165,32 @@ class TestIsColorable:
         assert is_colorable(build("PETERSEN").graph, P103)
 
 
+def reference_candidate_params(q_max, ceiling):
+    """The eager rule candidate_params replaced: every even p per q, the
+    least p kept per value, sorted by value."""
+    best = {}
+    for q in range(1, q_max + 1):
+        p = 2 * q
+        while Fraction(p, q) <= ceiling:
+            val = Fraction(p, q)
+            if val not in best or p < best[val].p:
+                best[val] = CliqueParams(p, q)
+            p += 2
+    return [best[v] for v in sorted(best)]
+
+
 class TestCandidateParams:
+    def test_matches_eager_rule(self):
+        ceilings = {Fraction(a, b) for a in range(31) for b in range(1, 6) if a <= 6 * b}
+        for q_max in range(16):
+            for ceiling in sorted(ceilings):
+                got = list(candidate_params(q_max, ceiling))
+                assert got == reference_candidate_params(q_max, ceiling), (q_max, ceiling)
+
+    def test_lazy(self):
+        # The first candidate comes without building the other ~250,000.
+        assert next(candidate_params(900, Fraction(4))) == CliqueParams(2, 1)
+
     def test_increasing_and_unique(self):
         cands = candidate_params(10, Fraction(4))
         values = [Fraction(c.p, c.q) for c in cands]
@@ -356,7 +400,7 @@ def decide_both(g, params):
         parents = solver._plan(order, tables, pr.p)
         assert parents is not None
         found = {
-            "fc": solver._search(order, doms, tables, solver._Deadline(None), pr),
+            "fc": next(solver._search(order, doms, tables, solver._Deadline(None)), None),
             "be": solver._eliminate(order, tables, parents, pr.p, solver._Deadline(None)),
         }
         for side, colors in found.items():
