@@ -1,10 +1,12 @@
 """List coloring over the (10, 3) clique and exhaustive lemma campaigns.
 
 Lists are 10-bit masks over the colors of the (10, 3) clique.  The
-campaign verifiers enumerate entire hypothesis spaces (up to ~10^8 list
-triples) with vectorized bit tables; every failure they would report is
-re-checked by the plain backtracking solver, so the fast path never has
-the last word.
+lemma verifiers cover their whole hypothesis spaces.  NEG_TRI_18
+(86,493,225 list triples) and P3_SUM13 never materialise a triple: they
+work on numpy grids of list pairs, with the third list folded into a
+count.  K23_INTERVALS contracts its feasibility tensor with interval
+membership.  Every failure NEG_TRI_18 would report is re-checked by a
+plain reference loop, so its fast path never has the last word.
 
 "Up to an isomorphism" for list patterns means the dihedral group of
 the clique's color circle: 10 rotations times an optional reflection
@@ -16,6 +18,7 @@ adjacency structure.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -123,65 +126,25 @@ NEIGH = {s: tuple(neighbor_mask(P103, c, s) for c in range(10)) for s in (POS, N
 # module, about 0.5 MB in all, and most processes never use these.
 
 
-def _union_table(sign: int) -> np.ndarray:
-    """Per mask, the union of the sign-neighborhoods of its colors: the
-    entry of the mask without its lowest bit, plus that color's."""
-    row = NEIGH[sign]
+def _unions(row: Sequence[int]) -> list[int]:
+    """Per mask, the union of row[c] over its colors c: the entry of the
+    mask without its lowest bit, plus that color's."""
     out = [0] * (1 << 10)
     for m in range(1, 1 << 10):
         low = m & -m
         out[m] = out[m ^ low] | row[low.bit_length() - 1]
-    return np.array(out, dtype=np.int64)
+    return out
 
 
-NBR_POS = _union_table(POS)
-NBR_NEG = _union_table(NEG)
+# Per mask, the union of the sign-neighborhoods of its colors.
+NBR_POS = np.array(_unions(NEIGH[POS]), dtype=np.int64)
+NBR_NEG = np.array(_unions(NEIGH[NEG]), dtype=np.int64)
 NBR = {POS: NBR_POS, NEG: NBR_NEG}
 POPCNT = np.array([bin(m).count("1") for m in range(1 << 10)], dtype=np.int64)
 
 # The ten negative triangles of the clique: color triples with pairwise
 # cyclic distance >= 3 are exactly the rotations of {0, 3, 6}.
 TRIANGLES = tuple((x, (x + 3) % 10, (x + 6) % 10) for x in range(10))
-
-# Membership pattern of a mask in triangle x: 3 bits, one per slot.
-_PAT = np.array(
-    [
-        [(m >> a & 1) | (m >> b & 1) << 1 | (m >> c & 1) << 2 for m in range(1 << 10)]
-        for (a, b, c) in TRIANGLES
-    ],
-    dtype=np.uint8,
-)
-
-# ACC[r1, r2]: bitmask over patterns r3 completing a perfect matching of
-# triangle slots {0,1,2} against row patterns (r1, r2, r3).
-_ACC = np.zeros((8, 8), dtype=np.uint8)
-for _r1 in range(8):
-    for _r2 in range(8):
-        acc = 0
-        for _r3 in range(8):
-            if any(
-                (_r1 >> i & 1) and (_r2 >> j & 1) and (_r3 >> k & 1)
-                for (i, j, k) in itertools.permutations(range(3))
-            ):
-                acc |= 1 << _r3
-        _ACC[_r1, _r2] = acc
-
-
-def _profiles() -> tuple[np.ndarray, np.ndarray]:
-    """80-bit acceptance profiles: bit x*8 + r3, triangles x < 8 in a
-    uint64 low word and x = 8, 9 in a uint16 high word."""
-    lo = [0] * (1 << 10)
-    hi = [0] * (1 << 10)
-    for x, pats in enumerate(_PAT.tolist()):
-        if x < 8:
-            lo = [w | 1 << (8 * x + r) for w, r in zip(lo, pats)]
-        else:
-            hi = [w | 1 << (8 * (x - 8) + r) for w, r in zip(hi, pats)]
-    return np.array(lo, dtype=np.uint64), np.array(hi, dtype=np.uint16)
-
-
-_PROF_LO, _PROF_HI = _profiles()
-
 
 def _masks_by_size() -> tuple[np.ndarray, ...]:
     by_size: list[list[int]] = [[] for _ in range(11)]
@@ -193,28 +156,31 @@ def _masks_by_size() -> tuple[np.ndarray, ...]:
 MASKS_BY_SIZE = _masks_by_size()
 
 
-def _neg_graph_bipartite(mask: int) -> bool:
-    """Is the graph of negative pairs inside the color set bipartite?"""
-    verts = [c for c in range(10) if mask >> c & 1]
-    colour = {}
-    for root in verts:
-        if root in colour:
+def _bipartite_neg() -> np.ndarray:
+    """Per mask, is the graph of negative pairs inside the color set
+    bipartite?  It is when the mask without its lowest color c is (an
+    earlier entry) and c's component has no odd cycle.  That component
+    is walked a whole negative neighborhood per step, keeping the colors
+    reached from c by walks of even and of odd length apart; it has an
+    odd cycle exactly when some color is reached both ways."""
+    nbr = NBR_NEG.tolist()
+    out = [True] * (1 << 10)
+    for m in range(1, 1 << 10):
+        low = m & -m
+        if not out[m ^ low]:
+            out[m] = False
             continue
-        colour[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in verts:
-                if v != u and (NEIGH[NEG][u] >> v & 1):
-                    if v not in colour:
-                        colour[v] = colour[u] ^ 1
-                        stack.append(v)
-                    elif colour[v] == colour[u]:
-                        return False
-    return True
+        even, odd = low, 0
+        while True:
+            nxt_even, nxt_odd = even | nbr[odd] & m, odd | nbr[even] & m
+            if nxt_even == even and nxt_odd == odd:
+                break
+            even, odd = nxt_even, nxt_odd
+        out[m] = not even & odd
+    return np.array(out, dtype=bool)
 
 
-BIPARTITE_NEG = np.array([_neg_graph_bipartite(m) for m in range(1 << 10)], dtype=bool)
+BIPARTITE_NEG = _bipartite_neg()
 
 
 def _dihedral_maps() -> list[tuple[int, ...]]:
@@ -496,40 +462,33 @@ def _verify_c4_7755() -> LemmaReport:
 
 def _verify_k23_intervals() -> LemmaReport:
     # K_{2,3}: u, v with full lists; x1, x2, x3 with 5-interval lists;
-    # all 64 sign patterns.  Feasible color triples for (x1, x2, x3) are
-    # precomputed per pattern, then folded over interval choices.
+    # all 64 sign patterns (u's three signs, then v's).  ok[p, c1, c2, c3]
+    # says u and v both find a color next to x-colors (c1, c2, c3);
+    # contracting each color axis with interval membership counts the
+    # feasible color triples inside every choice of intervals at once.
     rep = LemmaReport("K23_INTERVALS", 0)
-    colors = np.arange(10)
-    nbr_pos = np.array([NEIGH[POS][c] for c in range(10)], dtype=np.int64)
-    nbr_neg = np.array([NEIGH[NEG][c] for c in range(10)], dtype=np.int64)
-
-    def tri_tensor(s1, s2, s3):
-        t1 = (nbr_pos if s1 == POS else nbr_neg)[colors][:, None, None]
-        t2 = (nbr_pos if s2 == POS else nbr_neg)[colors][None, :, None]
-        t3 = (nbr_pos if s3 == POS else nbr_neg)[colors][None, None, :]
-        return (t1 & t2 & t3) != 0
-
-    signs = (POS, NEG)
-    starts = range(10)
-    ival5 = {s: Interval(s, 5).mask() for s in starts}
-    members = {s: [c for c in range(10) if ival5[s] >> c & 1] for s in starts}
-    for su in itertools.product(signs, repeat=3):
-        ok_u = tri_tensor(*su)
-        for sv in itertools.product(signs, repeat=3):
-            ok = ok_u & tri_tensor(*sv)
-            for a1 in starts:
-                sub1 = ok[members[a1], :, :].any(axis=0)
-                for a2 in starts:
-                    sub2 = sub1[members[a2], :].any(axis=0)
-                    for a3 in starts:
-                        rep.cases_checked += 1
-                        if not sub2[members[a3]].any():
-                            rep.failures.append(
-                                _fail_labels(
-                                    signs_u=su, signs_v=sv,
-                                    L1=ival5[a1], L2=ival5[a2], L3=ival5[a3],
-                                )
-                            )
+    patterns = list(itertools.product((POS, NEG), repeat=3))
+    nbr = {s: np.array(NEIGH[s], dtype=np.int64) for s in (POS, NEG)}
+    one_side = np.stack(
+        [
+            (nbr[s1][:, None, None] & nbr[s2][None, :, None] & nbr[s3][None, None, :]) != 0
+            for (s1, s2, s3) in patterns
+        ]
+    )
+    ok = (one_side[:, None] & one_side[None, :]).reshape((64,) + one_side.shape[1:])
+    ival5 = [Interval(s, 5).mask() for s in range(10)]
+    member = np.array([[m >> c & 1 for c in range(10)] for m in ival5], dtype=np.int64)
+    res = ok.astype(np.int64)
+    for _ in range(3):  # each contraction moves the next color axis last
+        res = np.tensordot(res, member, axes=(1, 1))
+    rep.cases_checked = res.size
+    for p, a1, a2, a3 in zip(*np.nonzero(res == 0)):
+        rep.failures.append(
+            _fail_labels(
+                signs_u=patterns[p // 8], signs_v=patterns[p % 8],
+                L1=ival5[a1], L2=ival5[a2], L3=ival5[a3],
+            )
+        )
     return rep
 
 
@@ -553,109 +512,102 @@ def _verify_two_vertex() -> LemmaReport:
     return rep
 
 
-def _neg_tri_family_vector(a: int, b: int, c: int, lu, lv, lw):
-    """Vectorized family membership for one size block (a, b, c).
+def _third_colors() -> np.ndarray:
+    """third[x, v]: the colors z for which (x, y, z) is an ordered
+    transversal of a negative triangle, for some color y in the mask v."""
+    rows = []
+    for x in range(10):
+        row = [0] * 10  # row[y]: the third colors of the triangles on x and y
+        for tri in TRIANGLES:
+            if x in tri:
+                for y, z in itertools.permutations(set(tri) - {x}):
+                    row[y] |= 1 << z
+        rows.append(_unions(row))
+    return np.array(rows, dtype=np.int64)
 
-    Shapes: lu (A,1,1), lv (1,B,1), lw (1,1,C) broadcast to (A,B,C).
-    """
-    shape = np.broadcast_shapes(lu.shape, lv.shape, lw.shape)
-    if 0 in (a, b, c):
-        return np.ones(shape, dtype=bool)  # family (1)
-    if (a, b, c) == (6, 6, 6):
-        return (lu == lv) & (lv == lw) & BIPARTITE_NEG[lu]
-    for orbit, big, small in ((FAM3_ORBIT, 7, 4), (FAM4_ORBIT, 8, 2)):
+
+def _third_list_reach(third: np.ndarray, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
+    """reach[i, j]: the colors z for which (x, y, z) is an ordered
+    transversal of a negative triangle, for some x in lu[i] and y in
+    lv[j]; the union of third[x, lv[j]] over the colors x of lu[i]."""
+    reach = np.zeros((len(lu), len(lv)), dtype=np.int64)
+    for x in range(10):
+        reach |= -(lu[:, None] >> x & 1) & third[x, lv]  # -1: every bit
+    return reach
+
+
+def _neg_tri_family(a: int, b: int, c: int) -> list[tuple[int, int, int]]:
+    """The family triples (lu, lv, lw) with list sizes (a, b, c)."""
+    if 0 in (a, b, c):  # family (1)
+        return list(itertools.product(*(MASKS_BY_SIZE[k].tolist() for k in (a, b, c))))
+    if (a, b, c) == (6, 6, 6):  # family (2)
+        return [(m, m, m) for m in MASKS_BY_SIZE[6].tolist() if BIPARTITE_NEG[m]]
+    for orbit, big, small in ((FAM3_ORBIT, 7, 4), (FAM4_ORBIT, 8, 2)):  # (3), (4)
         if sorted((a, b, c)) == sorted((big, big, small)):
-            keys = np.fromiter((bm << 10 | sm for (bm, sm) in orbit), dtype=np.int64)
-            out = np.zeros(shape, dtype=bool)
-            if a == b == big:
-                eq, pair = lu == lv, (lu << 10) | lw
-            elif a == c == big:
-                eq, pair = lu == lw, (lu << 10) | lv
-            else:
-                eq, pair = lv == lw, (lv << 10) | lu
-            out |= eq & np.isin(pair, keys)
-            return out
-    return np.zeros(shape, dtype=bool)
+            at = (a, b, c).index(small)
+            return [tuple(sm if i == at else bm for i in range(3)) for (bm, sm) in orbit]
+    return []
 
 
 def _verify_neg_tri_18(max_witnesses: int = 50) -> LemmaReport:
     """Negative triangle, list sizes summing to 18: non-colorable exactly
     for the four exceptional families.
 
-    Both directions are enumerated over all C(30, 18) = 86,493,225 list
-    triples.  Colorability is evaluated through precomputed matching
-    profiles of the ten negative triangles; every counterexample the
-    vectorized pass flags is re-checked with the reference loop before
-    being reported.
+    Both directions are checked over all C(30, 18) = 86,493,225 list
+    triples, one size block (a, b, c) at a time, on the grid of list
+    pairs (lu, lv): the third list is folded into a count.  A list lw
+    colors the triangle exactly when it meets reach(lu, lv), the colors
+    z with (x, y, z) on a negative triangle for some x in lu and y in
+    lv, so the cell holds exactly C(10 - |reach|, c) non-colorable lists
+    lw: the c-subsets of the complement.  A cell passes when its family
+    triples all miss reach and are that many; then they are exactly its
+    non-colorable triples.  That is set equality on every triple, so the
+    check stays exhaustive.  Only a failing cell evaluates its lists lw,
+    in (lu, lv, lw) order, and every counterexample found there is
+    re-checked with the reference loop before being reported.  A
+    truncated report counts the cases of every block it decided.
     """
     rep = LemmaReport("NEG_TRI_18", 0)
     rep.notes.append("isomorphism group: dihedral (10 rotations x reflection)")
-    total = 0
-    # One set of (A, B, C) work buffers for every chunk; views of the
-    # first A*B*C cells are reshaped per chunk.
-    cells = int(4e6)
-    word_buf = np.empty(cells, dtype=np.uint64)
-    spare_buf = np.empty(cells, dtype=np.uint16)
-    colorable_buf = np.empty(cells, dtype=bool)
+    third = _third_colors()
     for a in range(11):
         for b in range(11):
             c = 18 - a - b
             if not (0 <= c <= 10):
                 continue
             A, B, C = MASKS_BY_SIZE[a], MASKS_BY_SIZE[b], MASKS_BY_SIZE[c]
-            prof_lo_c = _PROF_LO[C]
-            prof_hi_c = _PROF_HI[C]
-            chunk = max(1, cells // max(1, len(B) * len(C)))
-            for lo in range(0, len(A), chunk):
-                asub = A[lo : lo + chunk]
-                lu = asub[:, None, None]
-                lv = B[None, :, None]
-                lw = C[None, None, :]
-                acc_lo = np.zeros((len(asub), len(B)), dtype=np.uint64)
-                acc_hi = np.zeros((len(asub), len(B)), dtype=np.uint16)
-                pat_u = _PAT[:, asub]
-                pat_v = _PAT[:, B]
-                for x in range(10):
-                    acc = _ACC[pat_u[x][:, None], pat_v[x][None, :]]
-                    if x < 8:
-                        acc_lo |= acc.astype(np.uint64) << np.uint64(8 * x)
-                    else:
-                        acc_hi |= acc.astype(np.uint16) << np.uint16(8 * (x - 8))
-                shape = (len(asub), len(B), len(C))
-                size = shape[0] * shape[1] * shape[2]
-                word = word_buf[:size].reshape(shape)
-                spare = spare_buf[:size].reshape(shape)
-                colorable = colorable_buf[:size].reshape(shape)
-                np.bitwise_and(acc_lo[:, :, None], prof_lo_c[None, None, :], out=word)
-                np.bitwise_and(acc_hi[:, :, None], prof_hi_c[None, None, :], out=spare)
-                np.bitwise_or(word, spare, out=word)
-                np.not_equal(word, 0, out=colorable)
-                family = _neg_tri_family_vector(a, b, c, lu, lv, lw)
-                total += colorable.size
-                bad = np.equal(colorable, family, out=colorable)  # either direction failing
-                if bad.any():
-                    for (i, j, k) in zip(*np.nonzero(bad)):
-                        triple = (int(asub[i]), int(B[j]), int(C[k]))
-                        truly = neg_triangle_colorable(*triple)
-                        fam = classify_neg_tri_exception(*triple)
-                        if truly == (fam is not None):
-                            direction = (
-                                "non-colorable without family"
-                                if not truly
-                                else "colorable but matches family"
+            rep.cases_checked += len(A) * len(B) * len(C)
+            reach = _third_list_reach(third, A, B)
+            n_noncolorable = np.array([math.comb(k, c) for k in range(11)])[10 - POPCNT[reach]]
+            fam = np.array(_neg_tri_family(a, b, c), dtype=np.int64).reshape(-1, 3)
+            cell = np.searchsorted(A, fam[:, 0]) * len(B) + np.searchsorted(B, fam[:, 1])
+            missed = (fam[:, 2] & reach.ravel()[cell]) == 0
+            n_fam = np.bincount(cell, minlength=reach.size).reshape(reach.shape)
+            n_fam_missed = np.bincount(cell[missed], minlength=reach.size).reshape(reach.shape)
+            bad_cells = (n_noncolorable != n_fam) | (n_fam_missed != n_fam)
+            for i, j in zip(*np.nonzero(bad_cells)):
+                colorable = (C & reach[i, j]) != 0
+                family = np.isin(C, fam[cell == i * len(B) + j, 2])
+                for k in np.nonzero(colorable == family)[0]:  # either direction failing
+                    triple = (int(A[i]), int(B[j]), int(C[k]))
+                    truly = neg_triangle_colorable(*triple)
+                    fam_tag = classify_neg_tri_exception(*triple)
+                    if truly == (fam_tag is not None):
+                        direction = (
+                            "non-colorable without family"
+                            if not truly
+                            else "colorable but matches family"
+                        )
+                        rep.failures.append(
+                            _fail_labels(
+                                direction=direction,
+                                Lu=triple[0], Lv=triple[1], Lw=triple[2],
+                                family=fam_tag,
                             )
-                            rep.failures.append(
-                                _fail_labels(
-                                    direction=direction,
-                                    Lu=triple[0], Lv=triple[1], Lw=triple[2],
-                                    family=fam,
-                                )
-                            )
-                            if len(rep.failures) >= max_witnesses:
-                                rep.cases_checked = total
-                                rep.notes.append("witness list truncated")
-                                return rep
-    rep.cases_checked = total
+                        )
+                        if len(rep.failures) >= max_witnesses:
+                            rep.notes.append("witness list truncated")
+                            return rep
     return rep
 
 

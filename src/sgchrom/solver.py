@@ -135,17 +135,18 @@ def _pair_tables(g: SignedMultigraph, pr: CliqueParams):
     return tables
 
 
-def _static_order(g: SignedMultigraph, vertices: Sequence[int]) -> list[int]:
-    """Static search order: start at a maximum-degree vertex, then greedily
-    take the vertex with the most already-ordered neighbors (ties: higher
-    degree, then lower index).  Deterministic, and it keeps forward
-    checking constantly engaged on gadget-like graphs.  Degrees (a loop
-    counts 2) and neighbor sets come from one pass over the edges; the
-    picks come from a heap of (-placed, -degree, v) entries, where an
-    entry whose placed count has since grown is stale and skipped."""
+def _static_order(edges, vertices: Sequence[int]) -> list[int]:
+    """Static search order of ``vertices`` in the graph with ``edges``:
+    start at a maximum-degree vertex, then greedily take the vertex with
+    the most already-ordered neighbors (ties: higher degree, then lower
+    index).  Deterministic, and it keeps forward checking constantly
+    engaged on gadget-like graphs.  Degrees (a loop counts 2) and
+    neighbor sets come from one pass over the edges; the picks come from
+    a heap of (-placed, -degree, v) entries, where an entry whose placed
+    count has since grown is stale and skipped."""
     deg = dict.fromkeys(vertices, 0)
     nbrs: dict[int, set[int]] = {v: set() for v in vertices}
-    for (a, b, _) in g.edges:
+    for (a, b, _) in edges:
         if a in deg:
             deg[a] += 1
         if b in deg:
@@ -444,11 +445,24 @@ def find_sp_hom(
     deadline = _Deadline(deadline_s)
     result = [0] * g.n
     elim_p = pr.p if pin and pr.p <= _MAX_ELIMINATION_P else None
-    for comp in components(g.n, ((u, v) for (u, v, _) in g.edges)):
-        order = _static_order(g, comp)
+    comps = components(g.n, ((u, v) for (u, v, _) in g.edges))
+    # Each component's set-up sees only its own edges and tables, kept in
+    # first-occurrence order.
+    comp_of = [0] * g.n
+    for k, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = k
+    comp_edges: list[list] = [[] for _ in comps]
+    for e in g.edges:
+        comp_edges[comp_of[e[0]]].append(e)
+    comp_tables: list[dict] = [{} for _ in comps]
+    for key, tab in tables.items():
+        comp_tables[comp_of[key[0]]][key] = tab
+    for comp, edges, comp_tab in zip(comps, comp_edges, comp_tables):
+        order = _static_order(edges, comp)
         if pin:
             doms[order[0]] = 1  # color 0 only; rotation symmetry
-        sol = next(_search(order, doms, tables, deadline, elim_p), None)
+        sol = next(_search(order, doms, comp_tab, deadline, elim_p), None)
         if sol is None:
             return None
         for v, c in zip(order, sol):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -271,17 +272,29 @@ class TestNegTri18Pieces:
         assert list_colorable(NEG_TRI, la) is None
         assert classify_neg_tri_exception(lu, lu, lw) == 3
 
-    def test_vectorized_colorability_sample_agreement(self):
-        rng = random.Random(89)
-        from sgchrom.lists import _ACC, _PAT, TRIANGLES
+    def test_reach_colorability_sample_agreement(self):
+        from sgchrom.lists import _third_colors, _third_list_reach
 
+        rng = random.Random(89)
+        third = _third_colors()
         for _ in range(2000):
-            masks = tuple(rng.randrange(1 << 10) for _ in range(3))
-            via_profiles = any(
-                (_ACC[_PAT[x, masks[0]], _PAT[x, masks[1]]] >> _PAT[x, masks[2]]) & 1
-                for x in range(10)
-            )
-            assert via_profiles == neg_triangle_colorable(*masks)
+            lu, lv, lw = (rng.randrange(1 << 10) for _ in range(3))
+            reach = int(_third_list_reach(third, np.array([lu]), np.array([lv]))[0, 0])
+            assert ((lw & reach) != 0) == neg_triangle_colorable(lu, lv, lw)
+
+    def test_third_colors(self):
+        from sgchrom.lists import TRIANGLES, _third_colors
+
+        third = _third_colors()
+        assert third.shape == (10, 1 << 10) and third.dtype == np.int64
+        for x in range(10):
+            for v in range(1 << 10):
+                want = 0
+                for tri in TRIANGLES:
+                    for (a, y, z) in itertools.permutations(tri):
+                        if a == x and v >> y & 1:
+                            want |= 1 << z
+                assert int(third[x, v]) == want, (x, v)
 
     def test_triangles_are_the_ten_rotations(self):
         from sgchrom.lists import TRIANGLES
@@ -333,31 +346,12 @@ class TestImportTables:
         assert POPCNT.dtype == want.dtype
         assert np.array_equal(POPCNT, want)
 
-    def test_triangle_patterns(self):
-        from sgchrom.lists import _PAT, TRIANGLES
+    def test_bipartite_neg(self):
+        from sgchrom.lists import BIPARTITE_NEG
 
-        want = np.zeros((10, 1 << 10), dtype=np.uint8)
-        for x, tri in enumerate(TRIANGLES):
-            for m in range(1 << 10):
-                want[x, m] = sum(((m >> c) & 1) << i for i, c in enumerate(tri))
-        assert _PAT.dtype == want.dtype
-        assert np.array_equal(_PAT, want)
-
-    def test_acceptance_profiles(self):
-        from sgchrom.lists import _PAT, _PROF_HI, _PROF_LO
-
-        for m in range(1 << 10):
-            lo = hi = 0
-            for x in range(10):
-                pat = int(_PAT[x, m])
-                if x < 8:
-                    lo |= 1 << (x * 8 + pat)
-                else:
-                    hi |= 1 << ((x - 8) * 8 + pat)
-            assert int(_PROF_LO[m]) == lo
-            assert int(_PROF_HI[m]) == hi
-        assert _PROF_LO.dtype == np.uint64
-        assert _PROF_HI.dtype == np.uint16  # x = 8, 9 need 16 bits
+        want = np.array([reference_neg_graph_bipartite(m) for m in range(1 << 10)], dtype=bool)
+        assert BIPARTITE_NEG.dtype == want.dtype
+        assert np.array_equal(BIPARTITE_NEG, want)
 
     def test_masks_by_size(self):
         from sgchrom.lists import MASKS_BY_SIZE
@@ -367,3 +361,305 @@ class TestImportTables:
             want = np.array([m for m in range(1 << 10) if self.popcount(m) == k], dtype=np.int64)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+# -- the kernels the list-pair folds replaced, kept as references ----------
+
+
+def reference_neg_graph_bipartite(mask):
+    """Is the graph of negative pairs inside the color set bipartite?
+    One graph walk per mask."""
+    from sgchrom.lists import NEIGH
+
+    verts = [c for c in range(10) if mask >> c & 1]
+    colour = {}
+    for root in verts:
+        if root in colour:
+            continue
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in verts:
+                if v != u and (NEIGH[NEG][u] >> v & 1):
+                    if v not in colour:
+                        colour[v] = colour[u] ^ 1
+                        stack.append(v)
+                    elif colour[v] == colour[u]:
+                        return False
+    return True
+
+
+def reference_profile_tables():
+    """pat[x, m]: the slots of triangle x that mask m holds (3 bits);
+    acc[r1, r2]: the patterns r3 completing a perfect matching of the
+    slots against (r1, r2, r3); the acceptance profiles: bit 8x + r3 per
+    triangle x, triangles x < 8 in a uint64 low word, x = 8, 9 in a
+    uint16 high word."""
+    from sgchrom.lists import TRIANGLES
+
+    pat = np.array(
+        [
+            [(m >> a & 1) | (m >> b & 1) << 1 | (m >> c & 1) << 2 for m in range(1 << 10)]
+            for (a, b, c) in TRIANGLES
+        ],
+        dtype=np.uint8,
+    )
+    acc = np.zeros((8, 8), dtype=np.uint8)
+    for r1 in range(8):
+        for r2 in range(8):
+            for r3 in range(8):
+                if any(
+                    (r1 >> i & 1) and (r2 >> j & 1) and (r3 >> k & 1)
+                    for (i, j, k) in itertools.permutations(range(3))
+                ):
+                    acc[r1, r2] |= 1 << r3
+    lo = [0] * (1 << 10)
+    hi = [0] * (1 << 10)
+    for x, pats in enumerate(pat.tolist()):
+        if x < 8:
+            lo = [w | 1 << (8 * x + r) for w, r in zip(lo, pats)]
+        else:
+            hi = [w | 1 << (8 * (x - 8) + r) for w, r in zip(hi, pats)]
+    return pat, acc, np.array(lo, dtype=np.uint64), np.array(hi, dtype=np.uint16)
+
+
+PAT, ACC, PROF_LO, PROF_HI = reference_profile_tables()
+
+
+def reference_colorable(lu, lv, lw):
+    """Colorability of every triple of lu x lv x lw through the matching
+    profiles of the ten negative triangles: an (A, B, C) bool grid."""
+    acc_lo = np.zeros((len(lu), len(lv)), dtype=np.uint64)
+    acc_hi = np.zeros((len(lu), len(lv)), dtype=np.uint16)
+    for x in range(10):
+        acc = ACC[PAT[x, lu][:, None], PAT[x, lv][None, :]]
+        if x < 8:
+            acc_lo |= acc.astype(np.uint64) << np.uint64(8 * x)
+        else:
+            acc_hi |= acc.astype(np.uint16) << np.uint16(8 * (x - 8))
+    word = acc_lo[:, :, None] & PROF_LO[lw][None, None, :]
+    spare = acc_hi[:, :, None] & PROF_HI[lw][None, None, :]
+    return (word | spare) != 0
+
+
+def reference_family_vector(a, b, c, lu, lv, lw):
+    """Family membership of one size block, broadcast over (A, B, C)."""
+    from sgchrom import lists
+
+    shape = np.broadcast_shapes(lu.shape, lv.shape, lw.shape)
+    if 0 in (a, b, c):
+        return np.ones(shape, dtype=bool)
+    if (a, b, c) == (6, 6, 6):
+        return (lu == lv) & (lv == lw) & lists.BIPARTITE_NEG[lu]
+    for orbit, big, small in ((lists.FAM3_ORBIT, 7, 4), (lists.FAM4_ORBIT, 8, 2)):
+        if sorted((a, b, c)) == sorted((big, big, small)):
+            keys = np.fromiter((bm << 10 | sm for (bm, sm) in orbit), dtype=np.int64)
+            if a == b == big:
+                eq, pair = lu == lv, (lu << 10) | lw
+            elif a == c == big:
+                eq, pair = lu == lw, (lu << 10) | lv
+            else:
+                eq, pair = lv == lw, (lv << 10) | lu
+            return eq & np.isin(pair, keys)
+    return np.zeros(shape, dtype=bool)
+
+
+def size_blocks():
+    for a in range(11):
+        for b in range(11):
+            if 0 <= 18 - a - b <= 10:
+                yield (a, b, 18 - a - b)
+
+
+def reference_neg_tri_18():
+    """The triple-grid NEG_TRI_18 kernel, in chunks of A, uncapped: its
+    failures in (lu, lv, lw) order and its case count."""
+    from sgchrom import lists
+    from sgchrom.lists import MASKS_BY_SIZE, _fail_labels
+
+    failures, total = [], 0
+    for (a, b, c) in size_blocks():
+        A, B, C = MASKS_BY_SIZE[a], MASKS_BY_SIZE[b], MASKS_BY_SIZE[c]
+        chunk = max(1, 500_000 // (len(B) * len(C)))
+        for lo in range(0, len(A), chunk):
+            asub = A[lo : lo + chunk]
+            colorable = reference_colorable(asub, B, C)
+            family = reference_family_vector(
+                a, b, c, asub[:, None, None], B[None, :, None], C[None, None, :]
+            )
+            total += colorable.size
+            for (i, j, k) in zip(*np.nonzero(colorable == family)):
+                triple = (int(asub[i]), int(B[j]), int(C[k]))
+                truly = lists.neg_triangle_colorable(*triple)
+                fam = lists.classify_neg_tri_exception(*triple)
+                if truly == (fam is not None):
+                    direction = (
+                        "non-colorable without family" if not truly else "colorable but matches family"
+                    )
+                    failures.append(
+                        _fail_labels(
+                            direction=direction, Lu=triple[0], Lv=triple[1], Lw=triple[2], family=fam
+                        )
+                    )
+    return failures, total
+
+
+def reference_k23_intervals():
+    """The K_{2,3} interval lemma as nested loops over sign patterns and
+    interval starts, one .any() per case: its failures and case count."""
+    from sgchrom.lists import NEIGH, _fail_labels
+
+    colors = np.arange(10)
+    nbr_pos = np.array([NEIGH[POS][c] for c in range(10)], dtype=np.int64)
+    nbr_neg = np.array([NEIGH[NEG][c] for c in range(10)], dtype=np.int64)
+
+    def tri_tensor(s1, s2, s3):
+        t1 = (nbr_pos if s1 == POS else nbr_neg)[colors][:, None, None]
+        t2 = (nbr_pos if s2 == POS else nbr_neg)[colors][None, :, None]
+        t3 = (nbr_pos if s3 == POS else nbr_neg)[colors][None, None, :]
+        return (t1 & t2 & t3) != 0
+
+    failures, cases = [], 0
+    ival5 = {s: Interval(s, 5).mask() for s in range(10)}
+    members = {s: [c for c in range(10) if ival5[s] >> c & 1] for s in range(10)}
+    for su in itertools.product((POS, NEG), repeat=3):
+        ok_u = tri_tensor(*su)
+        for sv in itertools.product((POS, NEG), repeat=3):
+            ok = ok_u & tri_tensor(*sv)
+            for a1 in range(10):
+                sub1 = ok[members[a1], :, :].any(axis=0)
+                for a2 in range(10):
+                    sub2 = sub1[members[a2], :].any(axis=0)
+                    for a3 in range(10):
+                        cases += 1
+                        if not sub2[members[a3]].any():
+                            failures.append(
+                                _fail_labels(
+                                    signs_u=su, signs_v=sv,
+                                    L1=ival5[a1], L2=ival5[a2], L3=ival5[a3],
+                                )
+                            )
+    return failures, cases
+
+
+def report_body(rep):
+    out = rep.to_json()
+    del out["elapsed_s"]
+    return out
+
+
+class TestNegTri18Fold:
+    """The list-pair fold of NEG_TRI_18 against the triple-grid kernel it
+    replaced."""
+
+    BLOCKS = (
+        [(6, 6, 6)]
+        + sorted(set(itertools.permutations((7, 7, 4))))
+        + sorted(set(itertools.permutations((8, 8, 2))))
+        + [(0, 9, 9), (5, 5, 8), (3, 7, 8)]
+    )
+
+    def test_non_colorable_triples_per_cell(self):
+        from sgchrom.lists import MASKS_BY_SIZE, POPCNT, _third_colors, _third_list_reach
+
+        third = _third_colors()
+        for (a, b, c) in self.BLOCKS:
+            A, B, C = MASKS_BY_SIZE[a], MASKS_BY_SIZE[b], MASKS_BY_SIZE[c]
+            reach = _third_list_reach(third, A, B)
+            counts = np.array([math.comb(k, c) for k in range(11)])[10 - POPCNT[reach]]
+            for lo in range(0, len(A), 20):
+                want = ~reference_colorable(A[lo : lo + 20], B, C)
+                got = (reach[lo : lo + 20, :, None] & C[None, None, :]) == 0
+                assert np.array_equal(got, want), (a, b, c, lo)
+                assert np.array_equal(counts[lo : lo + 20], want.sum(axis=2)), (a, b, c, lo)
+
+    def test_totals_are_655(self):
+        from sgchrom.lists import MASKS_BY_SIZE, POPCNT, _neg_tri_family, _third_colors, _third_list_reach
+
+        third = _third_colors()
+        non_colorable = family = 0
+        for (a, b, c) in size_blocks():
+            reach = _third_list_reach(third, MASKS_BY_SIZE[a], MASKS_BY_SIZE[b])
+            non_colorable += sum(math.comb(10 - int(k), c) for k in POPCNT[reach].ravel())
+            family += len(_neg_tri_family(a, b, c))
+        assert non_colorable == family == 655
+
+    @staticmethod
+    def expected(failures, total, cap):
+        """The report a witness cap leaves of an uncapped failure list: the
+        first ``cap`` failures, and the cases of every size block up to the
+        one the last of them lies in."""
+        notes = ["isomorphism group: dihedral (10 rotations x reflection)"]
+        if len(failures) < cap:
+            return {"cases_checked": total, "failures": failures, "notes": notes}
+        last = tuple(len(failures[cap - 1][key]) for key in ("Lu", "Lv", "Lw"))
+        cases = 0
+        for block in size_blocks():
+            cases += math.prod(math.comb(10, k) for k in block)
+            if block == last:
+                break
+        return {"cases_checked": cases, "failures": failures[:cap], "notes": notes + ["witness list truncated"]}
+
+    @staticmethod
+    def traded_small_lists(lists):
+        """Family (3) with each small list trading its lowest color for the
+        lowest color of its big list it lacks: the same big lists, so the
+        same (lu, lv) cells and the same family counts, but colorable."""
+        def trade(bm, sm):
+            return sm ^ (sm & -sm) ^ (bm & ~sm & -(bm & ~sm))
+
+        return frozenset((bm, trade(bm, sm)) for (bm, sm) in lists.FAM3_ORBIT)
+
+    MUTATIONS = {
+        "none": {},
+        "fam3_orbit": {
+            "FAM3_ORBIT": lambda lists: lists._orbit_pairs(lists._FAM3_BIG, mask_of_labels([3, 4, -1, -2]))
+        },
+        "fam3_small_lists": {"FAM3_ORBIT": lambda lists: TestNegTri18Fold.traded_small_lists(lists)},
+        "bipartite_neg": {"BIPARTITE_NEG": lambda lists: ~lists.BIPARTITE_NEG},
+        "classifier": {"classify_neg_tri_exception": lambda lists: lambda lu, lv, lw: None},
+        "fam3_orbit_and_classifier": {
+            "FAM3_ORBIT": lambda lists: lists._orbit_pairs(lists._FAM3_BIG, mask_of_labels([3, 4, -1, -2])),
+            "classify_neg_tri_exception": lambda lists: lambda lu, lv, lw: None,
+        },
+    }
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_reports_match_reference(self, monkeypatch, mutation):
+        from sgchrom import lists
+
+        for name, make in self.MUTATIONS[mutation].items():
+            monkeypatch.setattr(lists, name, make(lists))
+        failures, total = reference_neg_tri_18()
+        assert total == 86_493_225
+        assert (len(failures) > 10) == (mutation not in ("none", "classifier"))
+        for cap in (10, 50, 10**9):
+            got = report_body(lists._verify_neg_tri_18(max_witnesses=cap))
+            want = self.expected(failures, total, cap)
+            assert got == {"id": "NEG_TRI_18", "passed": not want["failures"], **want}, (mutation, cap)
+
+
+class TestK23Contraction:
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_report_matches_loop(self, monkeypatch, broken):
+        from sgchrom import lists
+
+        if broken:
+            # The negative neighborhoods of colors 0..4 shrink to the
+            # 3-intervals around their antipodes: 84 failures, not closed
+            # under rotating the colors.
+            neigh = dict(lists.NEIGH)
+            neigh[NEG] = tuple(
+                m & ~(1 << (c + 3) % 10 | 1 << (c + 7) % 10) if c < 5 else m
+                for c, m in enumerate(neigh[NEG])
+            )
+            monkeypatch.setattr(lists, "NEIGH", neigh)
+        failures, cases = reference_k23_intervals()
+        assert cases == 64_000
+        assert len(failures) == (84 if broken else 0)
+        got = report_body(verify_list_lemma("K23_INTERVALS"))
+        assert got == {
+            "id": "K23_INTERVALS", "cases_checked": cases, "failures": failures,
+            "passed": not failures, "notes": [],
+        }

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +14,7 @@ from sgchrom.campaigns import EnumSpec, enumerate_signed
 from sgchrom.catalog import apply_indicator, build, hajos_graph, negative_cycle
 from sgchrom.catalog import names as catalog_names
 from sgchrom.clique import CliqueParams, antipode, neighbor_mask
+import sgchrom
 from sgchrom import solver
 from sgchrom.core import NEG, POS, SignedMultigraph, components, make_graph, switch
 from sgchrom.solver import (
@@ -381,9 +386,66 @@ class TestSetUp:
         graphs += density_deletions() + [apply_indicator(hajos_graph(5))]
         for g in graphs:
             vertices = list(range(g.n))
-            assert solver._static_order(g, vertices) == reference_static_order(g, vertices)
+            assert solver._static_order(g.edges, vertices) == reference_static_order(g, vertices)
             for comp in components(g.n, ((u, v) for (u, v, _) in g.edges)):
-                assert solver._static_order(g, comp) == reference_static_order(g, comp)
+                assert solver._static_order(g.edges, comp) == reference_static_order(g, comp)
+
+
+def reference_find_sp_hom(g, pr):
+    """find_sp_hom's pinned path as it was: every component's set-up read
+    all of g.edges and every pair table."""
+    tables = solver._pair_tables(g, pr)
+    doms = [(1 << pr.p) - 1] * g.n
+    result = [0] * g.n
+    elim_p = pr.p if pr.p <= solver._MAX_ELIMINATION_P else None
+    for comp in components(g.n, ((u, v) for (u, v, _) in g.edges)):
+        order = solver._static_order(g.edges, comp)
+        doms[order[0]] = 1
+        sol = next(solver._search(order, doms, tables, solver._Deadline(None), elim_p), None)
+        if sol is None:
+            return None
+        for v, c in zip(order, sol):
+            result[v] = c
+    return Homomorphism(pr, tuple(result))
+
+
+def disjoint_union(*graphs):
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(a + n, b + n, s) for (a, b, s) in g.edges]
+        n += g.n
+    return SignedMultigraph(n, tuple(edges))
+
+
+class TestComponentSetUp:
+    """find_sp_hom hands each component only its own edges and tables."""
+
+    def test_witnesses_match_whole_graph_set_up(self):
+        graphs = small_classes(5)
+        assert len(graphs) == 1407
+        assert any(len(components(g.n, ((u, v) for (u, v, _) in g.edges))) > 1 for g in graphs)
+        named = [build(nm).graph for nm in catalog_names()]
+        graphs += [disjoint_union(a, b) for a, b in zip(named, named[1:] + named[:1])]
+        graphs.append(disjoint_union(*named))
+        for pq in ((10, 3), (8, 3), (16, 5)):
+            pr = CliqueParams(*pq)
+            for g in graphs:
+                assert find_sp_hom(g, pr) == reference_find_sp_hom(g, pr), (g, pq)
+
+    def test_each_search_sees_its_component_tables(self, monkeypatch):
+        seen = []
+        search = solver._search
+
+        def recording(order, domains, tables, *args):
+            seen.append(len(tables))
+            return search(order, domains, tables, *args)
+
+        monkeypatch.setattr(solver, "_search", recording)
+        m = 1500
+        g = SignedMultigraph(2 * m, tuple((2 * i, 2 * i + 1, (POS, NEG)[i % 2]) for i in range(m)))
+        h = find_sp_hom(g, P103)
+        assert h is not None and verify_hom(g, h)
+        assert seen == [2] * m
 
 
 def decide_both(g, params):
@@ -394,7 +456,7 @@ def decide_both(g, params):
     tables = solver._pair_tables(g, pr)
     sides = {"fc": [0] * g.n, "be": [0] * g.n}
     for comp in components(g.n, ((u, v) for (u, v, _) in g.edges)):
-        order = solver._static_order(g, comp)
+        order = solver._static_order(g.edges, comp)
         doms = [(1 << pr.p) - 1] * g.n
         doms[order[0]] = 1
         parents = solver._plan(order, tables, pr.p)
@@ -510,9 +572,19 @@ def connected_graphs(draw, max_n=9):
 @given(connected_graphs(), st.sampled_from([(6, 2), (8, 3), (10, 3), (12, 5), (14, 4), (16, 5), (32, 9)]))
 def test_elimination_witness_is_fc_cbj_witness(g, pq):
     pr = CliqueParams(*pq)
-    order = solver._static_order(g, list(range(g.n)))
+    order = solver._static_order(g.edges, list(range(g.n)))
     assume(solver._plan(order, solver._pair_tables(g, pr), pr.p) is not None)
     fc, be = decide_both(g, pq)
     assert fc == be
     if be is not None:
         assert verify_hom(g, be)
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # Only bucket elimination uses numpy, and it imports it when it runs,
+    # so a process that never eliminates never maps numpy's code.
+    src = str(Path(sgchrom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, sgchrom; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
