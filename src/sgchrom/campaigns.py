@@ -23,7 +23,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,17 +44,6 @@ from .criticality import density_check, is_critical, is_two_connected
 from .solver import chi_c, is_colorable, verify_hom
 
 P103 = CliqueParams(10, 3)
-
-CAMPAIGN_IDS = (
-    "T_SURJECTIVE",
-    "SMALL_3COLORABLE",
-    "SMALL_CRITICAL",
-    "BROOKS",
-    "NEGATIVE_CYCLES",
-    "PETERSEN",
-    "DENSITY_FAMILY",
-)
-
 
 @dataclass(frozen=True)
 class EnumSpec:
@@ -477,19 +466,43 @@ def campaign_density_family(k_max: int = 5, probe_k1: bool = True) -> CampaignRe
     return _finish(rep, t0)
 
 
+class _Campaign(NamedTuple):
+    """A campaign runner: ``run(size, threads)``, the size it runs at when
+    none is given (None: the campaign takes no size) and the sizes it takes,
+    ``low`` up to ``high`` (None: unbounded)."""
+
+    run: Callable[[Optional[int], int], CampaignReport]
+    default: Optional[int] = None
+    low: int = 1
+    high: Optional[int] = None
+
+
+_CAMPAIGNS = {
+    "T_SURJECTIVE": _Campaign(lambda size, threads: campaign_T_surjective()),
+    "SMALL_3COLORABLE": _Campaign(lambda size, threads: campaign_small_3colorable(threads=threads)),
+    "SMALL_CRITICAL": _Campaign(lambda size, threads: campaign_small_critical(threads=threads)),
+    "BROOKS": _Campaign(lambda size, threads: campaign_brooks(n_max=size, threads=threads), 7, high=8),
+    "NEGATIVE_CYCLES": _Campaign(lambda size, threads: campaign_negative_cycles(l_max=size), 8, 2),
+    "PETERSEN": _Campaign(lambda size, threads: campaign_petersen()),
+    "DENSITY_FAMILY": _Campaign(lambda size, threads: campaign_density_family(k_max=size), 5),
+}
+CAMPAIGN_IDS = tuple(_CAMPAIGNS)
+
+
 def run_campaign(campaign_id: str, *, n_max: Optional[int] = None, threads: int = 1) -> CampaignReport:
-    if campaign_id == "T_SURJECTIVE":
-        return campaign_T_surjective()
-    if campaign_id == "SMALL_3COLORABLE":
-        return campaign_small_3colorable(threads=threads)
-    if campaign_id == "SMALL_CRITICAL":
-        return campaign_small_critical(threads=threads)
-    if campaign_id == "BROOKS":
-        return campaign_brooks(n_max=n_max or 7, threads=threads)
-    if campaign_id == "NEGATIVE_CYCLES":
-        return campaign_negative_cycles(l_max=n_max or 8)
-    if campaign_id == "PETERSEN":
-        return campaign_petersen()
-    if campaign_id == "DENSITY_FAMILY":
-        return campaign_density_family(k_max=n_max or 5)
-    raise KeyError(f"unknown campaign {campaign_id!r}; known: {', '.join(CAMPAIGN_IDS)}")
+    """Run one campaign at size ``n_max`` (its default when None).  A size
+    out of the campaign's range, a size for a campaign that takes none, or
+    threads < 1 raises ValueError."""
+    if campaign_id not in _CAMPAIGNS:
+        raise KeyError(f"unknown campaign {campaign_id!r}; known: {', '.join(CAMPAIGN_IDS)}")
+    c = _CAMPAIGNS[campaign_id]
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if n_max is None:
+        n_max = c.default
+    elif c.default is None:
+        raise ValueError(f"campaign {campaign_id} takes no size, got n_max={n_max}")
+    elif n_max < c.low or (c.high is not None and n_max > c.high):
+        allowed = f"{c.low}..{c.high}" if c.high is not None else f">= {c.low}"
+        raise ValueError(f"campaign {campaign_id} takes n_max {allowed}, got {n_max}")
+    return c.run(n_max, threads)

@@ -68,7 +68,7 @@ class SignedMultigraph:
         return sum((e[0] == v) + (e[1] == v) for e in self.edges)
 
     def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.n)), default=0)
+        return max(_degrees(self), default=0)
 
     def pair_signs(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """Sign multiset per unordered non-loop pair, sorted +1 first."""
@@ -198,6 +198,15 @@ def cycle_sign(g: SignedMultigraph, walk: Sequence[int]) -> int:
     raise GraphError("edge sequence is not a closed walk")
 
 
+def _degrees(g: SignedMultigraph) -> list[int]:
+    """Every vertex's degree, as :meth:`SignedMultigraph.degree`, in one pass."""
+    deg = [0] * g.n
+    for (u, v, _) in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
 def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     """Sorted neighbor lists of the graph on 0..n-1 with edges ``pairs``."""
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -257,25 +266,31 @@ def _flip(sig: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted((-s for s in sig), reverse=True))
 
 
+def _fits(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The flips f (0 keeps b, 1 negates it) for which the sign multiset
+    ``a`` is contained in flip^f(b)."""
+    ap, bp = a.count(POS), b.count(POS)
+    an, bn = len(a) - ap, len(b) - bp
+    return tuple(f for f, (p, q) in enumerate(((bp, bn), (bn, bp))) if ap <= p and an <= q)
+
+
 def _pair_constraints(p1: dict, p2: dict):
     """Per-pair switching constraints between two signatures of one graph,
     given as ``pair_signs()`` dicts over the same pairs.
 
     Returns a list of (u, v, parity) constraints meaning x_u xor x_v =
     parity, or None if some pair cannot be matched by any switching.
-    Digon-like pairs (sign multiset invariant under flipping) impose no
+    Equal multiplicities make containment equality, so digon-like pairs
+    (sign multiset invariant under flipping) fit both ways and impose no
     constraint.
     """
     constraints = []
-    for pair, sig1 in p1.items():
-        sig2 = p2[pair]
-        same = sig1 == sig2
-        flipped = _flip(sig1) == sig2
-        if not same and not flipped:
+    for pair, sig in p1.items():
+        flips = _fits(sig, p2[pair])
+        if not flips:
             return None
-        if same and flipped:
-            continue
-        constraints.append((pair[0], pair[1], 0 if same else 1))
+        if len(flips) == 1:
+            constraints.append((pair[0], pair[1], flips[0]))
     return constraints
 
 
@@ -375,82 +390,79 @@ def canonical_signature(g: SignedMultigraph) -> SignedMultigraph:
 
 # -- switching isomorphism ----------------------------------------------
 
-
-def _vertex_profile(g: SignedMultigraph):
-    """Per-vertex switching-invariant profile used for pruning."""
-    pairs = g.pair_signs()
-    loops = g.loop_signs()
-    prof = []
-    for v in range(g.n):
-        mults = sorted(len(sig) for p, sig in pairs.items() if v in p)
-        prof.append((g.degree(v), tuple(mults), loops.get(v, ())))
-    return prof
+_ISO_MAX_N = 12
 
 
-def is_switching_isomorphic(g: SignedMultigraph, h: SignedMultigraph, *, max_n: int = 12) -> bool:
+def _embed(g: SignedMultigraph, h: SignedMultigraph) -> Optional[tuple[tuple[int, ...], frozenset[int]]]:
+    """An injective vertex map phi of h into g and a switch set X of g
+    such that switch(g, X) holds every edge of h under phi with its sign,
+    or None.
+
+    Cycle signs fix a switching class (Zaslavsky, *Signed graphs*, 1982),
+    so the search only maps vertices and leaves the switch to the parity
+    2-coloring.  h's vertices are placed component by component, each
+    after the first next to an earlier one, so its candidates are the
+    neighbors of that one's image.  A candidate needs at least h's degree,
+    its loops, and a pair towards every placed neighbor that some flip
+    makes hold h's pair.
+    """
+    hp, gp = h.pair_signs(), g.pair_signs()
+    hloops, gloops = h.loop_signs(), g.loop_signs()
+    hadj, gadj = _adjacency(h.n, hp), _adjacency(g.n, gp)
+    hdeg, gdeg = _degrees(h), _degrees(g)
+    order = [v for comp in components(h.n, hp) for v in comp]
+    depth_of = {v: i for i, v in enumerate(order)}
+    # Per depth: h's placed neighbors of the vertex, with their pair signs.
+    back = [
+        [(u, hp[(min(u, v), max(u, v))]) for u in hadj[v] if depth_of[u] < depth_of[v]]
+        for v in order
+    ]
+    phi = [-1] * h.n
+    used = [False] * g.n
+
+    def extend(depth: int) -> Optional[tuple[tuple[int, ...], frozenset[int]]]:
+        if depth == h.n:
+            cons = []
+            for (a, b), sig in hp.items():
+                flips = _fits(sig, gp[(min(phi[a], phi[b]), max(phi[a], phi[b]))])
+                if len(flips) == 1:
+                    cons.append((a, b, flips[0]))
+            colour = _parity_coloring(h.n, cons)
+            if colour is None:
+                return None
+            return tuple(phi), frozenset(phi[v] for v in range(h.n) if colour[v])
+        hv = order[depth]
+        loops = hloops.get(hv, ())
+        for gv in gadj[phi[back[depth][0][0]]] if back[depth] else range(g.n):
+            if used[gv] or gdeg[gv] < hdeg[hv] or 0 not in _fits(loops, gloops.get(gv, ())):
+                continue
+            if not all(_fits(sig, gp.get((min(phi[u], gv), max(phi[u], gv)), ())) for (u, sig) in back[depth]):
+                continue
+            phi[hv] = gv
+            used[gv] = True
+            found = extend(depth + 1)
+            if found is not None:
+                return found
+            used[gv] = False
+        return None
+
+    return extend(0)
+
+
+def is_switching_isomorphic(g: SignedMultigraph, h: SignedMultigraph) -> bool:
     """True iff some vertex bijection plus switching maps g onto h.
 
-    Brute-force search over bijections, pruned by switching-invariant
-    vertex profiles (degree, incident multiplicities, loop signs) and by
-    incremental underlying-adjacency consistency; candidate bijections
-    are then checked with :func:`is_switching_equivalent`.  Intended for
-    gadget-sized graphs; refuses n > ``max_n``.
+    With equal vertex and edge counts, an embedding of h into g (see
+    :func:`contains_switching_subgraph`) covers every pair and loop of g
+    with its whole multiplicity, so it is a bijection that uses every
+    edge: a switching isomorphism.  The search is exhaustive over vertex
+    maps and meant for gadget-sized graphs; it refuses n > 12.
     """
     if g.n != h.n or g.m != h.m:
         return False
-    if g.n > max_n:
-        raise GraphError(f"is_switching_isomorphic limited to n <= {max_n}")
-    pg, ph = _vertex_profile(g), _vertex_profile(h)
-    if sorted(pg) != sorted(ph):
-        return False
-    gp, hp = g.pair_signs(), h.pair_signs()
-    gmult = {p: len(s) for p, s in gp.items()}
-    hmult = {p: len(s) for p, s in hp.items()}
-
-    # Map vertices in an order that keeps the partial map connected when
-    # possible, so adjacency mismatches surface early.
-    order: list[int] = []
-    placed = set()
-    while len(order) < g.n:
-        best = None
-        for v in range(g.n):
-            if v in placed:
-                continue
-            attached = sum(1 for u in g.neighbors(v) if u in placed)
-            key = (attached, pg[v][0], -v)
-            if best is None or key > best[0]:
-                best = (key, v)
-        order.append(best[1])
-        placed.add(best[1])
-
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(i: int) -> bool:
-        if i == g.n:
-            return is_switching_equivalent(relabel(g, mapping), h)
-        v = order[i]
-        for w in range(h.n):
-            if used[w] or pg[v] != ph[w]:
-                continue
-            ok = True
-            for u in order[:i]:
-                a = (min(v, u), max(v, u))
-                b = (min(w, mapping[u]), max(w, mapping[u]))
-                if gmult.get(a, 0) != hmult.get(b, 0):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(i + 1):
-                return True
-            mapping[v] = -1
-            used[w] = False
-        return False
-
-    return extend(0)
+    if g.n > _ISO_MAX_N:
+        raise GraphError(f"is_switching_isomorphic limited to n <= {_ISO_MAX_N}")
+    return _embed(g, h) is not None
 
 
 def contains_switching_subgraph(
@@ -468,104 +480,7 @@ def contains_switching_subgraph(
         raise GraphError("subgraph pattern limited to 6 vertices")
     if h.n > g.n or h.m > g.m:
         return None
-    hp = h.pair_signs()
-    hloops = h.loop_signs()
-    gp = g.pair_signs()
-    gloops = g.loop_signs()
-    gmult = {p: len(s) for p, s in gp.items()}
-
-    # Order h's vertices so each one (after the first of its component)
-    # attaches to an earlier vertex.
-    order: list[int] = []
-    placed: set[int] = set()
-    while len(order) < h.n:
-        nxt = None
-        for v in range(h.n):
-            if v in placed:
-                continue
-            if any(u in placed for u in h.neighbors(v)):
-                nxt = v
-                break
-        if nxt is None:
-            nxt = min(set(range(h.n)) - placed)
-        order.append(nxt)
-        placed.add(nxt)
-
-    hdeg = [h.degree(v) for v in range(h.n)]
-    gdeg = [g.degree(v) for v in range(g.n)]
-    phi = [-1] * h.n
-    used = [False] * g.n
-
-    def signs_fit(hv: int, gv: int) -> bool:
-        for lv, sig in hloops.items():
-            if lv == hv:
-                have = gloops.get(gv, ())
-                for s in set(sig):
-                    if sig.count(s) > have.count(s):
-                        return False
-        return True
-
-    def pair_ok(a: tuple[int, ...], b_pair) -> set[int]:
-        """Switch parities f such that flipping b's multiset by f covers a."""
-        out = set()
-        for f in (0, 1):
-            bb = b_pair if f == 0 else _flip(b_pair)
-            if all(a.count(s) <= bb.count(s) for s in set(a)):
-                out.add(f)
-        return out
-
-    def solve_parities() -> Optional[frozenset[int]]:
-        # x_u xor x_v constraints over h's vertices; free vertices unswitched.
-        cons = []
-        for (a, b), sig in hp.items():
-            gpair = (min(phi[a], phi[b]), max(phi[a], phi[b]))
-            fits = pair_ok(sig, gp[gpair])
-            if not fits:
-                return None
-            if fits == {0, 1}:
-                continue
-            cons.append((a, b, fits.pop()))
-        colour = _parity_coloring(h.n, cons)
-        if colour is None:
-            return None
-        return frozenset(phi[v] for v in range(h.n) if colour[v] == 1)
-
-    def candidates(hv: int, depth: int):
-        anchors = [u for u in order[:depth] if (min(u, hv), max(u, hv)) in hp]
-        if anchors:
-            base = phi[anchors[0]]
-            return g.neighbors(base)
-        return range(g.n)
-
-    def extend(depth: int) -> Optional[tuple[tuple[int, ...], frozenset[int]]]:
-        if depth == h.n:
-            x = solve_parities()
-            if x is None:
-                return None
-            return (tuple(phi), x)
-        hv = order[depth]
-        for gv in candidates(hv, depth):
-            if used[gv] or gdeg[gv] < hdeg[hv] or not signs_fit(hv, gv):
-                continue
-            ok = True
-            for u in order[:depth]:
-                need = len(hp.get((min(u, hv), max(u, hv)), ()))
-                have = gmult.get((min(phi[u], gv), max(phi[u], gv)), 0)
-                if have < need:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            phi[hv] = gv
-            used[gv] = True
-            found = extend(depth + 1)
-            if found is not None:
-                return found
-            phi[hv] = -1
-            used[gv] = False
-        return None
-
-    return extend(0)
+    return _embed(g, h)
 
 
 # -- text interchange format ----------------------------------------------

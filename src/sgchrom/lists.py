@@ -32,20 +32,6 @@ from .solver import Homomorphism, find_sp_hom
 P103 = CliqueParams(10, 3)
 FULL = (1 << 10) - 1
 
-LEMMA_IDS = (
-    "OBS_K2",
-    "TRI_POS",
-    "DIST_I",
-    "UNION_X4",
-    "K2_SUM7",
-    "P3_SUM13",
-    "C4_7755",
-    "K23_INTERVALS",
-    "NEG_TRI_18",
-    "TWO_VERTEX",
-)
-
-
 def mask_of(colors: Iterable[int]) -> int:
     m = 0
     for c in colors:
@@ -623,6 +609,7 @@ _LEMMA_VERIFIERS = {
     "NEG_TRI_18": _verify_neg_tri_18,
     "TWO_VERTEX": _verify_two_vertex,
 }
+LEMMA_IDS = tuple(_LEMMA_VERIFIERS)
 
 
 def verify_list_lemma(lemma_id: str) -> LemmaReport:

@@ -8,6 +8,8 @@ with numpy boolean tensors.  Tests compare the fast paths against these.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from sgchrom.core import NEG, POS, SignedMultigraph
@@ -75,6 +77,26 @@ def oracle_switch_equivalent(g1: SignedMultigraph, g2: SignedMultigraph) -> bool
     for bits in range(1 << g1.n):
         xs = [v for v in range(g1.n) if bits >> v & 1]
         if switch(g1, xs) == g2:
+            return True
+    return False
+
+
+def oracle_switching_isomorphic(g: SignedMultigraph, h: SignedMultigraph) -> bool:
+    """Try every vertex bijection (n <= 6): relabel g and ask
+    is_switching_equivalent whenever the underlying multigraphs agree."""
+    from sgchrom.core import is_switching_equivalent, relabel
+
+    if g.n != h.n:
+        return False
+    assert g.n <= 6, "the reference tries all n! bijections"
+
+    def underlying(x):
+        return sorted((min(u, v), max(u, v)) for (u, v, _) in x.edges)
+
+    target = underlying(h)
+    for perm in itertools.permutations(range(g.n)):
+        r = relabel(g, perm)
+        if underlying(r) == target and is_switching_equivalent(r, h):
             return True
     return False
 

@@ -2,6 +2,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from sgchrom.cli import EXIT_INCONCLUSIVE, EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
 from sgchrom.catalog import build
 from sgchrom.core import NEG, format_graph_text, make_graph
@@ -134,6 +136,33 @@ class TestLemmaAndCampaign:
         )
         assert code == EXIT_MATH_FAIL  # the expected-but-colorable chord class
         assert (tmp_path / "wit").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("campaign", "NEGATIVE_CYCLES", "--n-max", "0"),
+            ("campaign", "NEGATIVE_CYCLES", "--n-max", "1"),
+            ("campaign", "BROOKS", "--n-max", "0"),
+            ("campaign", "BROOKS", "--n-max", "9"),
+            ("campaign", "DENSITY_FAMILY", "--n-max", "0"),
+            ("campaign", "DENSITY_FAMILY", "--n-max", "-3"),
+            ("campaign", "PETERSEN", "--n-max", "3"),
+            ("campaign", "T_SURJECTIVE", "--n-max", "1"),
+            ("--threads", "0", "campaign", "NEGATIVE_CYCLES"),
+            ("--threads", "-2", "campaign", "SMALL_3COLORABLE"),
+        ],
+    )
+    def test_bad_campaign_size_or_threads_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_campaign_size_bounds_are_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "campaign", "NEGATIVE_CYCLES", "--n-max", "2")
+        assert code == EXIT_OK and json.loads(out)["cases_checked"] == 1
+        code, out, _ = run_cli(capsys, "campaign", "BROOKS", "--n-max", "1")
+        assert code == EXIT_OK and json.loads(out)["budget_notes"] == ["n_max=1"]
 
 
 class TestCriticalCheck:

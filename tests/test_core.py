@@ -23,6 +23,7 @@ from sgchrom.core import (
 from conftest import (
     negative_cycle_fingerprint,
     oracle_switch_equivalent,
+    oracle_switching_isomorphic,
     random_signed_graph,
 )
 
@@ -249,6 +250,41 @@ class TestSwitchingIsomorphism:
         g = SignedMultigraph(13, ())
         with pytest.raises(GraphError):
             is_switching_isomorphic(g, g)
+
+
+class TestSwitchingIsomorphismAgainstReference:
+    """Every class with n <= 4 (digons included) against every class with
+    as many vertices, and a relabelled, switched copy of each, checked
+    against the all-bijections reference."""
+
+    @pytest.fixture(scope="class")
+    def classes(self):
+        from sgchrom.campaigns import EnumSpec, enumerate_signed
+
+        return list(enumerate_signed(EnumSpec(n_max=4, allow_digons=True)))
+
+    def test_class_pairs(self, classes):
+        for i, g in enumerate(classes):
+            for j, h in enumerate(classes):
+                if g.n != h.n:
+                    continue
+                want = oracle_switching_isomorphic(g, h)
+                assert want == (i == j)  # one representative per class
+                assert is_switching_isomorphic(g, h) == want
+                if g.m == h.m:
+                    assert (contains_switching_subgraph(g, h) is not None) == want
+
+    def test_relabelled_switched_copies(self, classes):
+        rng = random.Random(37)
+        for g in classes:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            xs = {v for v in range(g.n) if rng.random() < 0.5}
+            h = relabel(switch(g, xs), perm)
+            assert oracle_switching_isomorphic(g, h)
+            assert is_switching_isomorphic(g, h) and is_switching_isomorphic(h, g)
+            phi, ys = contains_switching_subgraph(g, h)
+            assert relabel(switch(g, ys), [phi.index(v) for v in range(g.n)]) == h
 
 
 class TestContainsSwitchingSubgraph:

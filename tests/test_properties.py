@@ -18,11 +18,14 @@ from sgchrom.core import (
     components,
     contains_switching_subgraph,
     is_switching_equivalent,
+    is_switching_isomorphic,
     relabel,
     switch,
     switching_set,
 )
 from sgchrom.solver import Homomorphism, find_sp_hom, verify_hom
+
+from conftest import oracle_switching_isomorphic
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -73,6 +76,23 @@ def test_canonical_signature_is_a_function_of_the_class(case):
     assert canonical_signature(relabel(switch(g, xs), perm)) == canon
     assert canonical_signature(canon) == canon
     assert is_switching_equivalent(canon, relabel(g, perm))
+
+
+@PROPERTY
+@given(graph_switch_perm(), st.data())
+def test_switching_isomorphism_matches_reference(case, data):
+    """A relabelled, switched copy is switching isomorphic; with one edge's
+    sign flipped it is iff the all-bijections reference says so, and with
+    one edge deleted it never is."""
+    g, xs, perm = case
+    h = relabel(switch(g, xs), perm)
+    assert is_switching_isomorphic(g, h)
+    if h.m:
+        i = data.draw(st.integers(0, h.m - 1))
+        (u, v, s) = h.edges[i]
+        flipped = SignedMultigraph(h.n, h.edges[:i] + ((u, v, -s),) + h.edges[i + 1:])
+        assert is_switching_isomorphic(g, flipped) == oracle_switching_isomorphic(g, flipped)
+        assert not is_switching_isomorphic(g, SignedMultigraph(h.n, h.edges[:i] + h.edges[i + 1:]))
 
 
 @st.composite
