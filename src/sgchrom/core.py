@@ -367,14 +367,11 @@ def canonical_signature(g: SignedMultigraph) -> SignedMultigraph:
     # Only pairs whose sign multiset changes under flipping constrain the
     # switch parity; digons are invariant.
     orientable = {p: sig for p, sig in pairs.items() if sig != _flip(sig)}
-    parity = [0] * g.n
-    for (u, w) in bfs_forest(g.n, orientable):
-        sig = orientable[(min(u, w), max(u, w))]
-        # Canonical orientation of this pair: the flip with more
-        # positives (never a tie on orientable pairs).  The pair ends up
-        # flipped iff parity[u] != parity[w].
-        flip_needed = 1 if sum(sig) < sum(_flip(sig)) else 0
-        parity[w] = parity[u] ^ flip_needed
+    # Each forest pair ends up with its flip of more positives (never a
+    # tie on orientable pairs): flipped iff its sign sum is negative.
+    forest = bfs_forest(g.n, orientable)
+    flips = [(u, w, int(sum(orientable[(min(u, w), max(u, w))]) < 0)) for (u, w) in forest]
+    parity = _parity_coloring(g.n, flips)
     switched = switch(g, [v for v in range(g.n) if parity[v]])
     # Redistribute pair signs onto slots, positives first, for stable output.
     remaining = {p: list(sig) for p, sig in switched.pair_signs().items()}
@@ -404,7 +401,8 @@ def _embed(g: SignedMultigraph, h: SignedMultigraph) -> Optional[tuple[tuple[int
     after the first next to an earlier one, so its candidates are the
     neighbors of that one's image.  A candidate needs at least h's degree,
     its loops, and a pair towards every placed neighbor that some flip
-    makes hold h's pair.
+    makes hold h's pair, and the parities that pairs fitting one flip
+    only fix must keep a 2-coloring.
     """
     hp, gp = h.pair_signs(), g.pair_signs()
     hloops, gloops = h.loop_signs(), g.loop_signs()
@@ -419,31 +417,33 @@ def _embed(g: SignedMultigraph, h: SignedMultigraph) -> Optional[tuple[tuple[int
     ]
     phi = [-1] * h.n
     used = [False] * g.n
+    cons: list[tuple[int, int, int]] = []  # parity constraints of the placed pairs
 
     def extend(depth: int) -> Optional[tuple[tuple[int, ...], frozenset[int]]]:
         if depth == h.n:
-            cons = []
-            for (a, b), sig in hp.items():
-                flips = _fits(sig, gp[(min(phi[a], phi[b]), max(phi[a], phi[b]))])
-                if len(flips) == 1:
-                    cons.append((a, b, flips[0]))
             colour = _parity_coloring(h.n, cons)
-            if colour is None:
-                return None
             return tuple(phi), frozenset(phi[v] for v in range(h.n) if colour[v])
         hv = order[depth]
         loops = hloops.get(hv, ())
+        mark = len(cons)
         for gv in gadj[phi[back[depth][0][0]]] if back[depth] else range(g.n):
             if used[gv] or gdeg[gv] < hdeg[hv] or 0 not in _fits(loops, gloops.get(gv, ())):
                 continue
-            if not all(_fits(sig, gp.get((min(phi[u], gv), max(phi[u], gv)), ())) for (u, sig) in back[depth]):
-                continue
-            phi[hv] = gv
-            used[gv] = True
-            found = extend(depth + 1)
-            if found is not None:
-                return found
-            used[gv] = False
+            for (u, sig) in back[depth]:
+                flips = _fits(sig, gp.get((min(phi[u], gv), max(phi[u], gv)), ()))
+                if not flips:
+                    break
+                if len(flips) == 1:
+                    cons.append((u, hv, flips[0]))
+            else:
+                if len(cons) == mark or _parity_coloring(h.n, cons) is not None:
+                    phi[hv] = gv
+                    used[gv] = True
+                    found = extend(depth + 1)
+                    if found is not None:
+                        return found
+                    used[gv] = False
+            del cons[mark:]
         return None
 
     return extend(0)

@@ -6,21 +6,23 @@ a static order.  It is an iterative generator that keeps its state in
 per-depth lists, so graph size is not bounded by the recursion limit,
 and it yields every coloring in lexicographic order.
 
-``find_sp_hom`` decides colorability exactly, one connected component at
-a time, by taking the first coloring the loop yields along a static
-maximum-cardinality order.  At a component's 2,048th node, its first
-checkpoint, where it also reads the clock, the loop may return the
-answer of bucket elimination (Dechter 1999) in the reverse of the same
-order instead, provided that no list domains are given, p <= 32, and
-the elimination's largest join grid has at most 2**20 cells; otherwise
-FC-CBJ carries on.  Each elimination function is stored once per
-rotation class: rotating every color is an automorphism of the clique,
-and only the component's first vertex is pinned, so a function is known
+``find_sp_hom`` decides colorability exactly by taking the first
+coloring the loop yields along one static maximum-cardinality order of
+the whole graph, with each component's root pinned to color 0;
+backjumping never crosses components, so they need no set-up of their
+own.  At the 2,048th node, the first checkpoint, where it also reads
+the clock, the loop may return the answer of bucket elimination
+(Dechter 1999) in the reverse of the same order instead, provided that
+a forward check has wiped out a domain by then, no list domains are
+given, p <= 32, and the elimination's largest join grid has at most
+2**20 cells; otherwise FC-CBJ carries on.  Each elimination function is
+stored once per rotation class: rotating every color is an automorphism
+of the clique, and only the roots are pinned, so a function is known
 from its values with its first argument at color 0.  That divides the
 work and the memory of elimination by p.
 
 Both deciders return the same witness, the lexicographically first
-coloring in the static order with the first vertex at color 0: forward
+coloring in the static order with every root at color 0: forward
 checking and backjumping discard only values and subtrees that contain
 no solution, and elimination's back-substitution gives each vertex the
 least color that extends to a solution.  ``enumerate_homs`` runs the
@@ -42,7 +44,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .clique import CliqueParams, _neighbor_masks, _params, adjacency
-from .core import POS, SignedMultigraph, components
+from .core import POS, SignedMultigraph
 
 
 class NegativeLoopError(ValueError):
@@ -93,8 +95,8 @@ def verify_hom(g: SignedMultigraph, h: Homomorphism) -> bool:
     return True
 
 
-# FC-CBJ reads the clock every _CHECK_NODES nodes of a component's search;
-# at the first such checkpoint the component may switch to elimination.
+# FC-CBJ reads the clock every _CHECK_NODES nodes of its search; at the
+# first such checkpoint the search may switch to elimination.
 _CHECK_NODES = 2048
 
 
@@ -135,40 +137,44 @@ def _pair_tables(g: SignedMultigraph, pr: CliqueParams):
     return tables
 
 
-def _static_order(edges, vertices: Sequence[int]) -> list[int]:
-    """Static search order of ``vertices`` in the graph with ``edges``:
-    start at a maximum-degree vertex, then greedily take the vertex with
+def _static_order(edges, n: int) -> tuple[list[int], list[int]]:
+    """Static search order of the graph on 0..n-1 with ``edges``, and the
+    roots: the vertices it takes with no ordered neighbor.
+
+    Start at a maximum-degree vertex, then greedily take the vertex with
     the most already-ordered neighbors (ties: higher degree, then lower
     index).  Deterministic, and it keeps forward checking constantly
-    engaged on gadget-like graphs.  Degrees (a loop counts 2) and
-    neighbor sets come from one pass over the edges; the picks come from
-    a heap of (-placed, -degree, v) entries, where an entry whose placed
-    count has since grown is stale and skipped."""
-    deg = dict.fromkeys(vertices, 0)
-    nbrs: dict[int, set[int]] = {v: set() for v in vertices}
+    engaged on gadget-like graphs; each component is one run, headed by
+    its root.  Degrees (a loop counts 2) and neighbor sets come from one
+    pass over the edges; the picks come from a heap of (-placed, -degree,
+    v) entries, where an entry whose placed count has since grown is
+    stale and skipped."""
+    deg = [0] * n
+    nbrs: list[set[int]] = [set() for _ in range(n)]
     for (a, b, _) in edges:
-        if a in deg:
-            deg[a] += 1
-        if b in deg:
-            deg[b] += 1
-            if a in deg and a != b:
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-    placed = dict.fromkeys(vertices, 0)  # already-ordered neighbors; None once ordered
-    heap = [(0, -deg[v], v) for v in vertices]
+        deg[a] += 1
+        deg[b] += 1
+        if a != b:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    placed: list = [0] * n  # already-ordered neighbors; None once ordered
+    heap = [(0, -deg[v], v) for v in range(n)]
     heapq.heapify(heap)
     order: list[int] = []
+    roots: list[int] = []
     while heap:
         k, _, v = heapq.heappop(heap)
         if placed[v] != -k:
             continue
+        if not k:
+            roots.append(v)
         order.append(v)
         placed[v] = None
         for u in nbrs[v]:
             if placed[u] is not None:
                 placed[u] += 1
                 heapq.heappush(heap, (-placed[u], -deg[u], u))
-    return order
+    return order, roots
 
 
 def _search(order, domains, tables, deadline, elim_p=None) -> Iterator[Sequence[int]]:
@@ -185,14 +191,18 @@ def _search(order, domains, tables, deadline, elim_p=None) -> Iterator[Sequence[
     its conflict set.  After a solution the last depth's conflict set
     holds every earlier depth, so the search backs out of that
     solution's subtree one depth at a time and skips no other solution.
+    Conflicts are charged only between neighbors, so they never leave a
+    component, and an exhausted root ends the search.
 
     The search state lives in per-depth lists, not on the call stack.
     Every _CHECK_NODES nodes it reads the clock.  At the first such
-    checkpoint, when ``elim_p`` (the clique's p) is given and _plan finds
-    a small enough elimination, the search yields _eliminate's coloring,
-    if there is one, and stops; that needs order[0] pinned to color 0.
+    checkpoint, when ``elim_p`` (the clique's p) is given, a forward
+    check has wiped out a domain and _plan finds a small enough
+    elimination, the search yields _eliminate's coloring, if there is
+    one, and stops; that needs every root pinned to color 0.  A search
+    with no wipeout yet, such as on a long path, stays on FC-CBJ.
 
-    ``domains`` is mutated during the search.
+    ``tables`` covers exactly ``order``; ``domains`` is mutated.
     """
     n = len(order)
     if not n:
@@ -201,9 +211,9 @@ def _search(order, domains, tables, deadline, elim_p=None) -> Iterator[Sequence[
     pos = {v: i for i, v in enumerate(order)}
     later: list[list] = [[] for _ in range(n)]
     for (a, b), tab in tables.items():
-        i = pos.get(a)
-        if i is not None and pos[b] > i:
-            later[i].append((pos[b], b, tab))
+        i, j = pos[a], pos[b]
+        if i < j:
+            later[i].append((j, b, tab))
     assignment = [-1] * n
     untried = [0] * n  # colors of order[i] still to try at depth i
     trails: list[list] = [[] for _ in range(n)]  # domains depth i narrowed
@@ -212,6 +222,7 @@ def _search(order, domains, tables, deadline, elim_p=None) -> Iterator[Sequence[
     conf_set: list[set[int]] = [set() for _ in range(n)]
     nodes = 0
     next_check = _CHECK_NODES
+    wiped = False
     i = 0
     untried[0] = domains[order[0]]
     while True:
@@ -224,7 +235,7 @@ def _search(order, domains, tables, deadline, elim_p=None) -> Iterator[Sequence[
             if nodes == next_check:
                 next_check += _CHECK_NODES
                 deadline.check_clock()
-                if elim_p is not None and nodes == _CHECK_NODES:
+                if elim_p is not None and wiped and nodes == _CHECK_NODES:
                     parents = _plan(order, tables, elim_p)
                     if parents is not None:
                         sol = _eliminate(order, tables, parents, elim_p, deadline)
@@ -240,6 +251,7 @@ def _search(order, domains, tables, deadline, elim_p=None) -> Iterator[Sequence[
                     domains[w] = new
                     past_fc[j].add(i)
                     if new == 0:
+                        wiped = True
                         conf_set[i] |= past_fc[j] - {i}
                         break
             else:  # no wipeout
@@ -275,7 +287,7 @@ def _search(order, domains, tables, deadline, elim_p=None) -> Iterator[Sequence[
 # -- bucket elimination ----------------------------------------------------
 
 # Largest join grid (cells, after the rotation quotient) elimination accepts;
-# a component whose plan needs more stays on FC-CBJ.
+# a graph whose plan needs more stays on FC-CBJ.
 _MAX_GRID_CELLS = 1 << 20
 # Masks are uint32, so p <= 32; the bits a rotation shifts past bit 31
 # lie at or above p, where the join drops them anyway.
@@ -299,8 +311,9 @@ def _plan(order: Sequence[int], tables, p: int) -> Optional[list[list[int]]]:
     pos = {v: i for i, v in enumerate(order)}
     parents: list[set[int]] = [set() for _ in order]
     for (a, b) in tables:
-        if a in pos and pos[a] < pos[b]:
-            parents[pos[b]].add(pos[a])
+        i, j = pos[a], pos[b]
+        if i < j:
+            parents[j].add(i)
     for j in range(len(order) - 1, 0, -1):
         if parents[j]:
             u = max(parents[j])
@@ -311,13 +324,13 @@ def _plan(order: Sequence[int], tables, p: int) -> Optional[list[list[int]]]:
 
 
 def _eliminate(order, tables, parents, p: int, deadline: _Deadline) -> Optional[list[int]]:
-    """Bucket elimination (Dechter 1999) on one component with order[0]
-    pinned to color 0: colors of ``order``, or None when there are none.
+    """Bucket elimination (Dechter 1999) with every root pinned to color
+    0: colors of ``order``, or None when there are none.
 
     A function in position j's bucket has a scope S of earlier positions
     and gives, for colors x_S, the mask of colors of j it allows.  Every
     function commutes with rotating all colors, because the edge tables
-    do and the one pinned vertex, the root, is eliminated last.  So a
+    do and each pinned root is eliminated last in its component.  So a
     function is stored at anchor color 0, as an array ``tab`` with one
     axis per member of S[1:], indexed by colors relative to S[0]:
 
@@ -328,10 +341,10 @@ def _eliminate(order, tables, parents, p: int, deadline: _Deadline) -> Optional[
     with &, keeps the cells where some color of j survives, and packs that
     along the latest member of ``parents[j]``: a message for its bucket.
     Back-substitution then colors the positions in order, each with the
-    least color its bucket allows given the earlier ones.  Every allowed
-    color extends to a solution and every color that extends is allowed,
-    so this is the lexicographically first solution in ``order``, the
-    one FC-CBJ returns.
+    least color its bucket allows given the earlier ones (0 for a root,
+    whose bucket stays empty).  Every allowed color extends to a solution
+    and every color that extends is allowed, so this is the
+    lexicographically first solution in ``order``, the one FC-CBJ returns.
     """
     import numpy as np  # only elimination needs it; most solves never get here
 
@@ -339,8 +352,9 @@ def _eliminate(order, tables, parents, p: int, deadline: _Deadline) -> Optional[
     full = (1 << p) - 1
     buckets: list[list] = [[] for _ in order]
     for (a, b), tab in tables.items():
-        if a in pos and pos[a] < pos[b]:
-            buckets[pos[b]].append(((pos[a],), np.array(tab[0], dtype=np.uint32)))
+        i, j = pos[a], pos[b]
+        if i < j:
+            buckets[j].append(((i,), np.array(tab[0], dtype=np.uint32)))
     for j in range(len(order) - 1, 0, -1):
         scope = parents[j]
         if not scope:
@@ -424,10 +438,10 @@ def find_sp_hom(
 
     The search is complete: a None answer is a proof of non-colorability.
     ``domains`` optionally restricts each vertex to a bitmask of allowed
-    colors (used by list coloring).  Without that restriction the first
-    branched vertex of every connected component is pinned to color 0,
-    which is sound because the clique is vertex-transitive under color
-    rotation.
+    colors (used by list coloring).  Without that restriction the root of
+    every connected component, its first vertex in the static order, is
+    pinned to color 0, which is sound because the clique is
+    vertex-transitive under color rotation.
     """
     pr = _params(params)
     if g.has_negative_loop:
@@ -441,32 +455,17 @@ def find_sp_hom(
             raise ValueError("need one domain mask per vertex")
         doms = [int(d) & full for d in domains]
         pin = False
-    tables = _pair_tables(g, pr)
-    deadline = _Deadline(deadline_s)
-    result = [0] * g.n
+    order, roots = _static_order(g.edges, g.n)
+    if pin:
+        for v in roots:
+            doms[v] = 1  # color 0 only; rotation symmetry
     elim_p = pr.p if pin and pr.p <= _MAX_ELIMINATION_P else None
-    comps = components(g.n, ((u, v) for (u, v, _) in g.edges))
-    # Each component's set-up sees only its own edges and tables, kept in
-    # first-occurrence order.
-    comp_of = [0] * g.n
-    for k, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = k
-    comp_edges: list[list] = [[] for _ in comps]
-    for e in g.edges:
-        comp_edges[comp_of[e[0]]].append(e)
-    comp_tables: list[dict] = [{} for _ in comps]
-    for key, tab in tables.items():
-        comp_tables[comp_of[key[0]]][key] = tab
-    for comp, edges, comp_tab in zip(comps, comp_edges, comp_tables):
-        order = _static_order(edges, comp)
-        if pin:
-            doms[order[0]] = 1  # color 0 only; rotation symmetry
-        sol = next(_search(order, doms, comp_tab, deadline, elim_p), None)
-        if sol is None:
-            return None
-        for v, c in zip(order, sol):
-            result[v] = c
+    sol = next(_search(order, doms, _pair_tables(g, pr), _Deadline(deadline_s), elim_p), None)
+    if sol is None:
+        return None
+    result = [0] * g.n
+    for v, c in zip(order, sol):
+        result[v] = c
     return Homomorphism(pr, tuple(result))
 
 

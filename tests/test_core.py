@@ -246,6 +246,26 @@ class TestSwitchingIsomorphism:
         assert is_switching_isomorphic(neg_triangle(), one)
         assert not is_switching_isomorphic(neg_triangle(), pos)
 
+    def test_parity_prunes_partial_maps(self, monkeypatch):
+        # The all-negative K8 against its copy with edge (0, 1) positive:
+        # no placement of (0, 1) and a third vertex can be switched, so the
+        # search stops at depth 2 instead of walking all 8! maps.
+        from sgchrom import core
+
+        calls = []
+        fits = core._fits
+
+        def counting(*args):
+            calls.append(args)
+            return fits(*args)
+
+        monkeypatch.setattr(core, "_fits", counting)
+        n = 8
+        neg = make_graph(n, [(u, v, NEG) for u in range(n) for v in range(u + 1, n)])
+        one = make_graph(n, [(u, v, POS if (u, v) == (0, 1) else NEG) for (u, v, _) in neg.edges])
+        assert not is_switching_isomorphic(neg, one)
+        assert len(calls) <= 2000
+
     def test_size_guard(self):
         g = SignedMultigraph(13, ())
         with pytest.raises(GraphError):

@@ -360,6 +360,14 @@ def density_deletions():
     return [SignedMultigraph(big.n, big.edges[:i] + big.edges[i + 1 :]) for i in range(big.m)]
 
 
+def disjoint_union(*graphs):
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(a + n, b + n, s) for (a, b, s) in g.edges]
+        n += g.n
+    return SignedMultigraph(n, tuple(edges))
+
+
 class TestSetUp:
     """_pair_tables and _static_order against the rules they replaced:
     same values and the same key order, which _search, _plan and
@@ -382,26 +390,35 @@ class TestSetUp:
                 assert {k: list(t) for k, t in got.items()} == want, (g, pq)
 
     def test_static_order_matches_recount(self):
-        graphs = small_classes(5) + self.GRAPHS
+        # The whole-graph order is the recount's, and it splits at its
+        # roots into one run per component: that component's own order.
+        named = [build(nm).graph for nm in catalog_names()]
+        graphs = small_classes(5) + self.GRAPHS + [disjoint_union(*named), disjoint_union(*named[::-1])]
         graphs += density_deletions() + [apply_indicator(hajos_graph(5))]
         for g in graphs:
-            vertices = list(range(g.n))
-            assert solver._static_order(g.edges, vertices) == reference_static_order(g, vertices)
-            for comp in components(g.n, ((u, v) for (u, v, _) in g.edges)):
-                assert solver._static_order(g.edges, comp) == reference_static_order(g, comp)
+            order, roots = solver._static_order(g.edges, g.n)
+            assert order == reference_static_order(g, range(g.n))
+            heads = [order.index(r) for r in roots]
+            assert heads == sorted(heads) and heads[:1] == [0]
+            runs = [order[a:b] for a, b in zip(heads, heads[1:] + [g.n])]
+            comps = components(g.n, ((u, v) for (u, v, _) in g.edges))
+            assert sorted(map(sorted, runs)) == sorted(map(sorted, comps))
+            for run in runs:
+                assert run == reference_static_order(g, run)
 
 
 def reference_find_sp_hom(g, pr):
-    """find_sp_hom's pinned path as it was: every component's set-up read
-    all of g.edges and every pair table."""
+    """find_sp_hom's pinned path one component at a time: each search sees
+    its component's recount order and pair tables only."""
     tables = solver._pair_tables(g, pr)
     doms = [(1 << pr.p) - 1] * g.n
     result = [0] * g.n
     elim_p = pr.p if pr.p <= solver._MAX_ELIMINATION_P else None
     for comp in components(g.n, ((u, v) for (u, v, _) in g.edges)):
-        order = solver._static_order(g.edges, comp)
+        order = reference_static_order(g, comp)
+        comp_tables = {(a, b): tab for (a, b), tab in tables.items() if a in comp}
         doms[order[0]] = 1
-        sol = next(solver._search(order, doms, tables, solver._Deadline(None), elim_p), None)
+        sol = next(solver._search(order, doms, comp_tables, solver._Deadline(None), elim_p), None)
         if sol is None:
             return None
         for v, c in zip(order, sol):
@@ -409,16 +426,12 @@ def reference_find_sp_hom(g, pr):
     return Homomorphism(pr, tuple(result))
 
 
-def disjoint_union(*graphs):
-    edges, n = [], 0
-    for g in graphs:
-        edges += [(a + n, b + n, s) for (a, b, s) in g.edges]
-        n += g.n
-    return SignedMultigraph(n, tuple(edges))
+MATCHING = SignedMultigraph(3000, tuple((2 * i, 2 * i + 1, (POS, NEG)[i % 2]) for i in range(1500)))
 
 
 class TestComponentSetUp:
-    """find_sp_hom hands each component only its own edges and tables."""
+    """find_sp_hom runs one search over all components, with the witness
+    of one search per component."""
 
     def test_witnesses_match_whole_graph_set_up(self):
         graphs = small_classes(5)
@@ -432,46 +445,55 @@ class TestComponentSetUp:
             for g in graphs:
                 assert find_sp_hom(g, pr) == reference_find_sp_hom(g, pr), (g, pq)
 
-    def test_each_search_sees_its_component_tables(self, monkeypatch):
+    def test_one_search_sees_every_table(self, monkeypatch):
         seen = []
         search = solver._search
 
         def recording(order, domains, tables, *args):
-            seen.append(len(tables))
+            seen.append((len(tables), domains.count(1)))
             return search(order, domains, tables, *args)
 
         monkeypatch.setattr(solver, "_search", recording)
-        m = 1500
-        g = SignedMultigraph(2 * m, tuple((2 * i, 2 * i + 1, (POS, NEG)[i % 2]) for i in range(m)))
+        h = find_sp_hom(MATCHING, P103)
+        assert h is not None and verify_hom(MATCHING, h)
+        # All 2m tables, and every component's root pinned to color 0.
+        assert seen == [(2 * MATCHING.m, MATCHING.m)]
+
+    def test_deadline_fires_across_components(self):
+        # 1,500 two-vertex components, one node per vertex: the clock is
+        # read at the 2,048th node of the whole search.
+        with pytest.raises(SearchDeadlineExceeded):
+            find_sp_hom(MATCHING, P103, deadline_s=1e-9)
+
+    @pytest.mark.parametrize("g", [MATCHING, TestLongPath.PATH], ids=["matching", "path"])
+    def test_no_wipeout_stays_on_fc_cbj(self, monkeypatch, g):
+        # Both pass the first checkpoint without a wipeout, so they are
+        # never planned for elimination.
+        monkeypatch.setattr(solver, "_plan", lambda *args: pytest.fail("planned"))
         h = find_sp_hom(g, P103)
         assert h is not None and verify_hom(g, h)
-        assert seen == [2] * m
 
 
 def decide_both(g, params):
     """Witnesses of FC-CBJ, run to completion, and of bucket elimination,
-    each deciding every component on find_sp_hom's pinned path.  A side
+    each deciding the whole graph on find_sp_hom's pinned path.  A side
     is None when that decider proves non-colorability."""
     pr = CliqueParams(*params)
     tables = solver._pair_tables(g, pr)
-    sides = {"fc": [0] * g.n, "be": [0] * g.n}
-    for comp in components(g.n, ((u, v) for (u, v, _) in g.edges)):
-        order = solver._static_order(g.edges, comp)
-        doms = [(1 << pr.p) - 1] * g.n
-        doms[order[0]] = 1
-        parents = solver._plan(order, tables, pr.p)
-        assert parents is not None
-        found = {
-            "fc": next(solver._search(order, doms, tables, solver._Deadline(None)), None),
-            "be": solver._eliminate(order, tables, parents, pr.p, solver._Deadline(None)),
-        }
-        for side, colors in found.items():
-            if colors is None:
-                sides[side] = None
-            elif sides[side] is not None:
-                for v, c in zip(order, colors):
-                    sides[side][v] = c
-    return tuple(None if w is None else Homomorphism(pr, tuple(w)) for w in sides.values())
+    order, roots = solver._static_order(g.edges, g.n)
+    doms = [(1 << pr.p) - 1] * g.n
+    for v in roots:
+        doms[v] = 1
+    parents = solver._plan(order, tables, pr.p)
+    assert parents is not None
+    found = (
+        next(solver._search(order, doms, tables, solver._Deadline(None)), None),
+        solver._eliminate(order, tables, parents, pr.p, solver._Deadline(None)),
+    )
+    return tuple(
+        None if colors is None else Homomorphism(pr, tuple(c for _, c in sorted(zip(order, colors))))
+        for colors in found
+    )
 
 
 def k5_indicator():
@@ -496,7 +518,7 @@ class TestBucketElimination:
 
     def test_switches_on_the_k5_indicator(self, monkeypatch):
         # FC-CBJ passes its first checkpoint on this 35-vertex graph, so the
-        # component is handed to elimination, whose witness is FC-CBJ's own.
+        # graph is handed to elimination, whose witness is FC-CBJ's own.
         g = k5_indicator()
         calls = []
         real = solver._eliminate
@@ -511,6 +533,20 @@ class TestBucketElimination:
         fc, be = decide_both(g, (10, 3))
         assert hom == fc == be
         assert verify_hom(g, hom)
+
+    def test_agrees_with_fc_cbj_on_disjoint_unions(self):
+        # Two K5 indicators and a catalog graph, non-colorable (K4_MINUS)
+        # or not: one elimination over every component, each root
+        # back-substituted to color 0.
+        k5 = k5_indicator()
+        for nm in ("K4_MINUS", "T", "PETERSEN"):
+            g = disjoint_union(k5, build(nm).graph, k5)
+            for pq in ((10, 3), (8, 3)):
+                fc, be = decide_both(g, pq)
+                assert fc == be, (nm, pq)
+                assert fc == find_sp_hom(g, pq), (nm, pq)
+                if be is not None:
+                    assert verify_hom(g, be)
 
     def test_plan_over_the_cell_limit_stays_on_fc_cbj(self, monkeypatch):
         # K8 at 14/2 = 7 is an FC-CBJ search of more than 2,048 nodes, and
@@ -572,7 +608,7 @@ def connected_graphs(draw, max_n=9):
 @given(connected_graphs(), st.sampled_from([(6, 2), (8, 3), (10, 3), (12, 5), (14, 4), (16, 5), (32, 9)]))
 def test_elimination_witness_is_fc_cbj_witness(g, pq):
     pr = CliqueParams(*pq)
-    order = solver._static_order(g.edges, list(range(g.n)))
+    order, _ = solver._static_order(g.edges, g.n)
     assume(solver._plan(order, solver._pair_tables(g, pr), pr.p) is not None)
     fc, be = decide_both(g, pq)
     assert fc == be
