@@ -247,18 +247,12 @@ def _pmap(fn, items, threads: int):
         return pool.map(fn, items, chunksize=max(1, len(items) // (threads * 4)))
 
 
-def _finish(rep: CampaignReport, t0: float) -> CampaignReport:
-    rep.elapsed_s = time.monotonic() - t0
-    return rep
-
-
 # -- campaigns ----------------------------------------------------------------
 
 
 def campaign_T_surjective() -> CampaignReport:
     """Every homomorphism of the 5-vertex gadget T (any switching) into
     the halved (10, 3) clique must use all five target vertices."""
-    t0 = time.monotonic()
     rep = CampaignReport("T_SURJECTIVE")
     t = build("T").graph
     hat = hat_clique(P103)
@@ -286,7 +280,7 @@ def campaign_T_surjective() -> CampaignReport:
     rep.extra["valid_homomorphisms"] = valid_total
     if valid_total == 0:
         rep.failures.append({"error": "no valid homomorphism exists at all"})
-    return _finish(rep, t0)
+    return rep
 
 
 def _probe_3colorable(g: SignedMultigraph) -> bool:
@@ -297,7 +291,6 @@ def campaign_small_3colorable(threads: int = 1) -> CampaignReport:
     """Simple signed graphs with at most 5 vertices and 7 edges that are
     not the gadget T and contain no switching copy of the all-negative
     K4 are all circular 3-colorable."""
-    t0 = time.monotonic()
     rep = CampaignReport("SMALL_3COLORABLE")
     t_graph = build("T").graph
     k4 = build("K4_MINUS").graph
@@ -315,7 +308,7 @@ def campaign_small_3colorable(threads: int = 1) -> CampaignReport:
     for g, colorable in zip(graphs, results):
         if not colorable:
             rep.failures.append({"graph": format_graph_text(g)})
-    return _finish(rep, t0)
+    return rep
 
 
 def _probe_critical(g: SignedMultigraph) -> bool:
@@ -335,7 +328,6 @@ def campaign_small_critical(threads: int = 1) -> CampaignReport:
     list is kept so that the report, which the CLI tests and the
     benchmark's verify workload compare exactly, stays as it is;
     correcting it is an open item in ROADMAP.md."""
-    t0 = time.monotonic()
     rep = CampaignReport("SMALL_CRITICAL")
     graphs = list(enumerate_signed(EnumSpec(n_max=5, allow_digons=True)))
     results = _pmap(_probe_critical, graphs, threads)
@@ -361,7 +353,7 @@ def campaign_small_critical(threads: int = 1) -> CampaignReport:
         if matched[i] is None:
             rep.failures.append({"graph": format_graph_text(e), "error": "expected critical class not found"})
     rep.extra["critical_classes_found"] = len(criticals)
-    return _finish(rep, t0)
+    return rep
 
 
 def _probe_brooks(g: SignedMultigraph):
@@ -375,7 +367,6 @@ def campaign_brooks(n_max: int = 7, threads: int = 1) -> CampaignReport:
     (within denominator budget |V|) are recorded."""
     if n_max > 8:
         raise ValueError("brooks campaign capped at n_max = 8")
-    t0 = time.monotonic()
     rep = CampaignReport("BROOKS")
     k4 = build("K4_MINUS").graph
     graphs = []
@@ -396,13 +387,12 @@ def campaign_brooks(n_max: int = 7, threads: int = 1) -> CampaignReport:
     rep.extra["excluded_k4_classes"] = excluded
     rep.extra["attains_10_3"] = attains
     rep.budget_notes.append(f"n_max={n_max}")
-    return _finish(rep, t0)
+    return rep
 
 
 def campaign_negative_cycles(l_max: int = 8) -> CampaignReport:
     """chi_c of the unbalanced cycle of length l is 2 + 2/(l-1), found at
     its minimal even-numerator parameters."""
-    t0 = time.monotonic()
     rep = CampaignReport("NEGATIVE_CYCLES")
     for length in range(2, l_max + 1):
         rep.cases_checked += 1
@@ -413,14 +403,13 @@ def campaign_negative_cycles(l_max: int = 8) -> CampaignReport:
             rep.failures.append(
                 {"length": length, "got": str(res.value), "want": str(want)}
             )
-    return _finish(rep, t0)
+    return rep
 
 
 def campaign_petersen() -> CampaignReport:
     """The signed Petersen graph has chi_c exactly 10/3 within the
     denominator budget q <= 10: every smaller candidate fraction is
     rejected by a completed search and the witness at (10, 3) verifies."""
-    t0 = time.monotonic()
     rep = CampaignReport("PETERSEN")
     g = build("PETERSEN").graph
     res = chi_c(g, q_max=10)
@@ -435,14 +424,13 @@ def campaign_petersen() -> CampaignReport:
             rep.failures.append({"error": f"expected rejection missing: {must}"})
     rep.extra["rejected"] = sorted(rejected)
     rep.extra["witness"] = list(res.witness.assignment)
-    return _finish(rep, t0)
+    return rep
 
 
 def campaign_density_family(k_max: int = 5) -> CampaignReport:
     """The gadget-replaced Hajos family has 47k+4 vertices and 84k+6
     edges; the k=1 member is non-(10,3)-colorable and meets the density
     bound."""
-    t0 = time.monotonic()
     rep = CampaignReport("DENSITY_FAMILY")
     for k in range(1, k_max + 1):
         rep.cases_checked += 1
@@ -459,7 +447,7 @@ def campaign_density_family(k_max: int = 5) -> CampaignReport:
         rep.failures.append({"k": 1, "error": "gadget family member is (10,3)-colorable"})
     if not density_check(big1).passes:
         rep.failures.append({"k": 1, "error": "density bound fails"})
-    return _finish(rep, t0)
+    return rep
 
 
 class _Campaign(NamedTuple):
@@ -486,9 +474,9 @@ CAMPAIGN_IDS = tuple(_CAMPAIGNS)
 
 
 def run_campaign(campaign_id: str, *, n_max: Optional[int] = None, threads: int = 1) -> CampaignReport:
-    """Run one campaign at size ``n_max`` (its default when None).  A size
-    out of the campaign's range, a size for a campaign that takes none, or
-    threads < 1 raises ValueError."""
+    """Run one campaign at size ``n_max`` (its default when None) and time
+    it.  A size out of the campaign's range, a size for a campaign that
+    takes none, or threads < 1 raises ValueError."""
     if campaign_id not in _CAMPAIGNS:
         raise KeyError(f"unknown campaign {campaign_id!r}; known: {', '.join(CAMPAIGN_IDS)}")
     c = _CAMPAIGNS[campaign_id]
@@ -501,4 +489,7 @@ def run_campaign(campaign_id: str, *, n_max: Optional[int] = None, threads: int 
     elif n_max < c.low or (c.high is not None and n_max > c.high):
         allowed = f"{c.low}..{c.high}" if c.high is not None else f">= {c.low}"
         raise ValueError(f"campaign {campaign_id} takes n_max {allowed}, got {n_max}")
-    return c.run(n_max, threads)
+    t0 = time.monotonic()
+    rep = c.run(n_max, threads)
+    rep.elapsed_s = time.monotonic() - t0
+    return rep

@@ -359,7 +359,8 @@ def hajos_graph(k: int) -> SignedMultigraph:
 
 def apply_indicator(g: SignedMultigraph) -> SignedMultigraph:
     """Replace every edge uv of an all-positive loopless graph with a fresh
-    copy of the indicator gadget, s identified with u and t with v.
+    copy of the :func:`indicator` gadget, s identified with u, t with v,
+    and the inner vertices numbered after every earlier vertex in order.
 
     The result has |V| + 3|E| vertices and 6|E| edges, all negative.
     """
@@ -367,13 +368,12 @@ def apply_indicator(g: SignedMultigraph) -> SignedMultigraph:
         raise ValueError("apply_indicator requires a loopless graph")
     if any(s != POS for (_, _, s) in g.edges):
         raise ValueError("apply_indicator expects an all-positive carrier graph")
+    gad = indicator()
+    inner = [w for w in range(gad.graph.n) if w not in (gad.s, gad.t)]
     n = g.n
     edges = []
     for (u, v, _) in g.edges:
-        x1, x2, x3 = n, n + 1, n + 2
-        n += 3
-        edges += [
-            (u, x1, NEG), (u, x2, NEG), (x1, x2, NEG),
-            (x1, x3, NEG), (x2, x3, NEG), (x3, v, NEG),
-        ]
+        at = {gad.s: u, gad.t: v, **{w: n + i for i, w in enumerate(inner)}}
+        n += len(inner)
+        edges += [(at[a], at[b], s) for (a, b, s) in gad.graph.edges]
     return make_graph(n, edges)

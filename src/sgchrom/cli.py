@@ -3,8 +3,9 @@
 Every command writes a single JSON document (schema field included) to
 standard output; diagnostics go to standard error.  Exit codes:
 0 success / all checks passed, 1 mathematical failure (invalid coloring,
-lemma or campaign violation), 2 usage or input error, 3 inconclusive
-(deadline hit before the search finished).
+lemma or campaign violation), 2 usage or input error (an unreadable or
+unwritable file included), 3 inconclusive (deadline hit before the
+search finished).
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def main(argv=None) -> int:
 
     try:
         return _dispatch(args)
-    except (GraphError, KeyError, ValueError) as exc:
+    except (GraphError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchDeadlineExceeded:

@@ -262,36 +262,12 @@ def bfs_forest(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]
     return forest
 
 
-def _flip(sig: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted((-s for s in sig), reverse=True))
-
-
 def _fits(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The flips f (0 keeps b, 1 negates it) for which the sign multiset
     ``a`` is contained in flip^f(b)."""
     ap, bp = a.count(POS), b.count(POS)
     an, bn = len(a) - ap, len(b) - bp
     return tuple(f for f, (p, q) in enumerate(((bp, bn), (bn, bp))) if ap <= p and an <= q)
-
-
-def _pair_constraints(p1: dict, p2: dict):
-    """Per-pair switching constraints between two signatures of one graph,
-    given as ``pair_signs()`` dicts over the same pairs.
-
-    Returns a list of (u, v, parity) constraints meaning x_u xor x_v =
-    parity, or None if some pair cannot be matched by any switching.
-    Equal multiplicities make containment equality, so digon-like pairs
-    (sign multiset invariant under flipping) fit both ways and impose no
-    constraint.
-    """
-    constraints = []
-    for pair, sig in p1.items():
-        flips = _fits(sig, p2[pair])
-        if not flips:
-            return None
-        if len(flips) == 1:
-            constraints.append((pair[0], pair[1], flips[0]))
-    return constraints
 
 
 def _parity_coloring(n: int, constraints) -> Optional[list[int]]:
@@ -320,35 +296,49 @@ def _parity_coloring(n: int, constraints) -> Optional[list[int]]:
     return colour
 
 
+def _normalizing_switch(g: SignedMultigraph) -> list[int]:
+    """The 0/1 switch x that gives every pair of g's BFS spanning forest
+    its flip with more positive signs; each root keeps 0.
+
+    The forest spans the orientable pairs only, those whose sign multiset
+    changes under flipping (2 * #positive != multiplicity); digons and
+    other balanced pairs look the same either way.  Cycle signs fix a
+    switching class (Zaslavsky, *Signed graphs*, 1982), so switch(g, x)
+    is the one member of the class with this forest normal form, up to
+    the sign order within a pair.
+    """
+    orientable = {p: sig for p, sig in g.pair_signs().items() if 2 * sig.count(POS) != len(sig)}
+    # A forest pair is flipped iff its sign sum is negative (never a tie).
+    forest = bfs_forest(g.n, orientable)
+    flips = [(u, w, int(sum(orientable[(min(u, w), max(u, w))]) < 0)) for (u, w) in forest]
+    return _parity_coloring(g.n, flips)
+
+
 def switching_set(g1: SignedMultigraph, g2: SignedMultigraph) -> Optional[frozenset[int]]:
     """A vertex set X with switch(g1, X) sign-equal to g2, or None.
 
     Both graphs must have the same underlying multigraph (same n, same
-    pair multiplicities, same loops).  Loop signs are switching
-    invariant and must already agree.
+    pair multiplicities).  Each is switched to its forest normal form
+    (:func:`_normalizing_switch`); X is the difference of the two
+    switches, and the graphs are equivalent iff it carries g1 onto g2,
+    loops included.  Each component of the orientable pairs keeps its
+    lowest vertex out of X.
     """
     if g1.n != g2.n:
         raise GraphError("underlying graphs differ: vertex counts")
-    ps1, ps2 = g1.pair_signs(), g2.pair_signs()
-    if {k: len(v) for k, v in ps1.items()} != {k: len(v) for k, v in ps2.items()}:
+    if {k: len(v) for k, v in g1.pair_signs().items()} != {k: len(v) for k, v in g2.pair_signs().items()}:
         raise GraphError("underlying graphs differ: edge multiplicities")
-    if g1.loop_signs() != g2.loop_signs():
-        return None
-    constraints = _pair_constraints(ps1, ps2)
-    if constraints is None:
-        return None
-    colour = _parity_coloring(g1.n, constraints)
-    if colour is None:
-        return None
-    return frozenset(v for v in range(g1.n) if colour[v] == 1)
+    x1, x2 = _normalizing_switch(g1), _normalizing_switch(g2)
+    xs = frozenset(v for v in range(g1.n) if x1[v] != x2[v])
+    return xs if switch(g1, xs) == g2 else None
 
 
 def is_switching_equivalent(g1: SignedMultigraph, g2: SignedMultigraph) -> bool:
     """True iff some switching maps g1's signature to g2's.
 
     Equivalent to the two signatures having the same set of positive
-    cycles; decided in linear time by propagating switch parities over a
-    spanning forest instead of comparing cycle sets.
+    cycles; decided by comparing forest normal forms instead of cycle
+    sets, in the time of sorting the edges.
     """
     return switching_set(g1, g2) is not None
 
@@ -356,23 +346,14 @@ def is_switching_equivalent(g1: SignedMultigraph, g2: SignedMultigraph) -> bool:
 def canonical_signature(g: SignedMultigraph) -> SignedMultigraph:
     """Deterministic representative of the switching class of ``g``.
 
-    A BFS spanning forest (rooted at the lowest vertex of each
-    component, neighbors visited in increasing order) is switched so
-    that every forest pair carries its maximum number of positive signs;
-    for single edges that means all forest edges positive.  Within each
-    pair the final sign multiset is laid back onto the edge slots with
-    positives first, so equal classes give equal edge lists.
+    ``g`` is switched by :func:`_normalizing_switch`, so that every
+    forest pair carries its maximum number of positive signs; for single
+    edges that means all forest edges positive.  Within each pair the
+    final sign multiset is laid back onto the edge slots with positives
+    first, so equal classes give equal edge lists.
     """
-    pairs = g.pair_signs()
-    # Only pairs whose sign multiset changes under flipping constrain the
-    # switch parity; digons are invariant.
-    orientable = {p: sig for p, sig in pairs.items() if sig != _flip(sig)}
-    # Each forest pair ends up with its flip of more positives (never a
-    # tie on orientable pairs): flipped iff its sign sum is negative.
-    forest = bfs_forest(g.n, orientable)
-    flips = [(u, w, int(sum(orientable[(min(u, w), max(u, w))]) < 0)) for (u, w) in forest]
-    parity = _parity_coloring(g.n, flips)
-    switched = switch(g, [v for v in range(g.n) if parity[v]])
+    x = _normalizing_switch(g)
+    switched = switch(g, [v for v in range(g.n) if x[v]])
     # Redistribute pair signs onto slots, positives first, for stable output.
     remaining = {p: list(sig) for p, sig in switched.pair_signs().items()}
     new_edges = []

@@ -550,7 +550,8 @@ def chi_c(
     ceiling: Optional[Fraction] = None,
     deadline_s: Optional[float] = None,
 ) -> ChiCResult:
-    """Minimum colorable fraction p/q with q <= q_max (default |V|).
+    """Minimum colorable fraction p/q with q <= q_max (default |V|; a
+    q_max below 1 raises ValueError).
 
     Candidates are visited in strictly increasing rational order, each
     value once, so the first success is the minimum within the budget;
@@ -563,6 +564,8 @@ def chi_c(
         raise NegativeLoopError("graph has a negative loop; chi_c is undefined")
     if q_max is None:
         q_max = g.n
+    if q_max < 1:
+        raise ValueError(f"q_max must be at least 1, got {q_max}")
     if ceiling is None:
         loopless_deg = [0] * g.n
         for (a, b, _) in g.edges:

@@ -26,8 +26,8 @@ from sgchrom.campaigns import (
     campaign_negative_cycles,
     campaign_petersen,
     campaign_small_3colorable,
-    campaign_small_critical,
     enumerate_signed,
+    run_campaign,
 )
 from sgchrom.catalog import apply_indicator, build, golden_colorings, hajos_graph, indicator
 from sgchrom.clique import CliqueParams, cyclic_distance
@@ -50,7 +50,7 @@ def report(number, name, elapsed, budget_s, ok=True):
 
 @pytest.fixture(scope="module")
 def small_critical_report():
-    return campaign_small_critical()
+    return run_campaign("SMALL_CRITICAL")  # the runner times the campaign
 
 
 @pytest.fixture(scope="module")

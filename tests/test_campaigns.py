@@ -404,6 +404,10 @@ class TestRunner:
         rep = run_campaign("NEGATIVE_CYCLES", n_max=3)
         assert rep.id == "NEGATIVE_CYCLES" and rep.passed
 
+    def test_runner_times_the_campaign(self):
+        assert run_campaign("NEGATIVE_CYCLES", n_max=3).elapsed_s > 0
+        assert campaign_negative_cycles(3).elapsed_s == 0.0
+
     def test_threads_give_identical_reports(self):
         serial = campaign_small_3colorable(threads=1)
         parallel = campaign_small_3colorable(threads=2)

@@ -213,7 +213,30 @@ class TestHajos:
             hajos_graph(0)
 
 
+def hand_written_apply_indicator(g: SignedMultigraph) -> SignedMultigraph:
+    """The gadget replacement with the six indicator edges written out."""
+    n = g.n
+    edges = []
+    for (u, v, _) in g.edges:
+        x1, x2, x3 = n, n + 1, n + 2
+        n += 3
+        edges += [
+            (u, x1, NEG), (u, x2, NEG), (x1, x2, NEG),
+            (x1, x3, NEG), (x2, x3, NEG), (x3, v, NEG),
+        ]
+    return make_graph(n, edges)
+
+
 class TestApplyIndicator:
+    def test_edge_order_matches_hand_written_gadget(self):
+        # Gadget edges stay in indicator() order, so an edge index names
+        # the same gadget edge as before.
+        k5 = make_graph(5, [(u, v, POS) for u in range(5) for v in range(u + 1, 5)])
+        for g in [k5] + [hajos_graph(k) for k in range(1, 6)]:
+            big = apply_indicator(g)
+            want = hand_written_apply_indicator(g)
+            assert (big.n, big.edges) == (want.n, want.edges)
+
     def test_k6_counts(self):
         big = apply_indicator(hajos_graph(1))
         assert (big.n, big.m) == (51, 90)

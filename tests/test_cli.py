@@ -222,6 +222,31 @@ class TestUsage:
     def test_no_command(self, capsys):
         assert run_cli(capsys)[0] == EXIT_USAGE
 
+    def assert_usage_error(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_missing_graph_file(self, tmp_path, capsys):
+        self.assert_usage_error(capsys, "chi-c", str(tmp_path / "missing.sg"))
+
+    def test_directory_as_graph_file(self, tmp_path, capsys):
+        self.assert_usage_error(capsys, "chi-c", str(tmp_path))
+
+    def test_missing_coloring_file(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, "digon.sg", build("DIGON").graph)
+        self.assert_usage_error(capsys, "verify-coloring", gpath, str(tmp_path / "missing.coloring"))
+
+    def test_uncreatable_witness_directory(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        self.assert_usage_error(capsys, "campaign", "SMALL_CRITICAL", "--emit-witnesses", str(blocker / "wit"))
+
+    def test_q_max_zero(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "digon.sg", build("DIGON").graph)
+        self.assert_usage_error(capsys, "chi-c", path, "--q-max", "0")
+
     def test_malformed_graph_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.sg"
         path.write_text("2 1\n0 1 ?\n", encoding="utf-8")

@@ -189,6 +189,89 @@ class TestSwitchingEquivalence:
             assert switch(g, found) == h
 
 
+def constraint_rule_switching_set(g1, g2):
+    """Reference decision rule: each pair whose sign multiset fits only
+    one flip of g2's fixes x_u xor x_v, a pair that fits neither flip or
+    a loop mismatch refutes, and the constraints are solved by a
+    2-colouring that gives each component's lowest vertex 0."""
+    if g1.loop_signs() != g2.loop_signs():
+        return None
+    p2 = g2.pair_signs()
+    adj = [[] for _ in range(g1.n)]
+    for (u, v), sig in g1.pair_signs().items():
+        other = p2[(u, v)]
+        keep = sig == other
+        flip = sig == tuple(sorted((-s for s in other), reverse=True))
+        if not (keep or flip):
+            return None
+        if keep != flip:
+            adj[u].append((v, int(flip)))
+            adj[v].append((u, int(flip)))
+    colour = [-1] * g1.n
+    for root in range(g1.n):
+        if colour[root] != -1:
+            continue
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for (v, parity) in adj[u]:
+                if colour[v] == -1:
+                    colour[v] = colour[u] ^ parity
+                    stack.append(v)
+                elif colour[v] != colour[u] ^ parity:
+                    return None
+    return frozenset(v for v in range(g1.n) if colour[v])
+
+
+def random_multigraph(rng, n_max=6):
+    """Up to three parallel edges per pair (digons and same-sign
+    parallels alike) and up to two loops per vertex, random signs."""
+    n = rng.randint(1, n_max)
+    edges = []
+    for u in range(n):
+        edges += [(u, u, rng.choice((POS, NEG))) for _ in range(rng.choice((0, 0, 0, 1, 2)))]
+        for v in range(u + 1, n):
+            edges += [(u, v, rng.choice((POS, NEG))) for _ in range(rng.choice((0, 1, 1, 2, 3)))]
+    rng.shuffle(edges)
+    return SignedMultigraph(n, tuple(edges))
+
+
+class TestSwitchingSetAgainstConstraintRule:
+    """switching_set against the per-pair constraint rule and the 2^n
+    brute force, on graphs with loops, same-sign parallels and digons."""
+
+    def check(self, g1, g2):
+        want = constraint_rule_switching_set(g1, g2)
+        assert switching_set(g1, g2) == want
+        assert (want is not None) == oracle_switch_equivalent(g1, g2)
+        if want is not None:
+            assert switch(g1, want) == g2
+        return want is not None
+
+    def test_switchings_and_near_misses(self):
+        rng = random.Random(41)
+        hits = 0
+        for _ in range(600):
+            g = random_multigraph(rng)
+            h = switch(g, [v for v in range(g.n) if rng.random() < 0.5])
+            hits += self.check(g, h)
+            if h.m:
+                i = rng.randrange(h.m)
+                (u, v, s) = h.edges[i]
+                self.check(g, SignedMultigraph(h.n, h.edges[:i] + ((u, v, -s),) + h.edges[i + 1:]))
+        assert hits == 600
+
+    def test_random_resignings(self):
+        rng = random.Random(43)
+        hits = 0
+        for _ in range(900):
+            g = random_multigraph(rng, n_max=5)
+            h = SignedMultigraph(g.n, tuple((u, v, s if rng.random() < 0.7 else -s) for (u, v, s) in g.edges))
+            hits += self.check(g, h)
+        assert 100 < hits < 900
+
+
 class TestCanonicalSignature:
     def test_positive_tree_fixed(self):
         g = make_graph(4, [(0, 1, POS), (1, 2, POS), (1, 3, POS)])

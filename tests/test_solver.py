@@ -260,6 +260,11 @@ class TestChiC:
         with pytest.raises(CeilingExhausted):
             chi_c(build("DIGON").graph, ceiling=Fraction(3))
 
+    @pytest.mark.parametrize("q_max", [0, -1])
+    def test_q_max_below_one_rejected(self, q_max):
+        with pytest.raises(ValueError, match="q_max"):
+            chi_c(build("DIGON").graph, q_max)
+
     def test_deadline(self):
         # Without a deadline this takes ~2 s (2-core Xeon): its UNSAT
         # proofs below 9 stay on FC-CBJ, since for p >= 8 eliminating K9
