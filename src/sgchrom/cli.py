@@ -56,8 +56,8 @@ def _read_graph(path: str):
 
 def _read_coloring(path: str, g, p: int) -> Homomorphism:
     """Coloring file: lines ``v c``, with c a +-1..+-5 label when p = 10
-    and a raw color integer otherwise."""
-    assignment = {}
+    and a raw color integer otherwise.  Each vertex is listed once."""
+    assignment, seen = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -66,9 +66,15 @@ def _read_coloring(path: str, g, p: int) -> Homomorphism:
             parts = line.split()
             if len(parts) != 2:
                 raise GraphError(f"line {lineno}: expected 'v c'")
-            v, c = int(parts[0]), int(parts[1])
+            try:
+                v, c = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphError(f"line {lineno}: expected integers 'v c'") from None
             if not (0 <= v < g.n):
                 raise GraphError(f"line {lineno}: vertex {v} out of range")
+            if v in seen:
+                raise GraphError(f"line {lineno}: vertex {v} already colored on line {seen[v]}")
+            seen[v] = lineno
             if p == 10:
                 try:
                     c = color_from_label(c)

@@ -19,7 +19,11 @@ given, p <= 32, and the elimination's largest join grid has at most
 stored once per rotation class: rotating every color is an automorphism
 of the clique, and only the roots are pinned, so a function is known
 from its values with its first argument at color 0.  That divides the
-work and the memory of elimination by p.
+work and the memory of elimination by p.  A join reads a function
+anchored at the grid's anchor as a broadcast view of its table, a
+single-vertex function as the table of its mask's p rotations, and any
+other by a per-chunk gather; each chunk is packed into message masks by
+one ``np.packbits`` call.
 
 Both deciders return the same witness, the lexicographically first
 coloring in the static order with every root at color 0: forward
@@ -382,11 +386,20 @@ def _message(bucket, scope: Sequence[int], p: int, full: int, deadline: _Deadlin
     color 0.  Returns, for len(scope) > 1, the message to scope[-1]'s
     bucket: one mask over scope[-1]'s colors per row of the grid, rows in
     row-major order.  For a single-member scope it returns one cell, 1
-    when the bucket is satisfiable at all and 0 when it is not.  Functions
-    are read by indexing with one broadcast array per axis, so no
-    temporary is larger than a chunk.  Few distinct numpy kernels are
-    used: each one touched for the first time adds its code pages to the
-    resident set.
+    when the bucket is satisfiable at all and 0 when it is not.
+
+    Functions are read in three ways.  One anchored at scope[0] is
+    already in grid coordinates, its anchor being at color 0: its table
+    is reshaped to a view that broadcasts over the grid, and a 0-d one
+    is a constant.  A single-vertex function elsewhere becomes the p
+    rotations of its mask, a view along its vertex's axis.  Views over
+    the same axes are joined once, here; each chunk then slices them.
+    Any other function is gathered per chunk by indexing with one
+    broadcast array per axis and rotated.  No temporary is larger than
+    a chunk, and each chunk's rows are packed by one ``np.packbits``
+    into the low bytes of a 4-byte little-endian word.  Few distinct
+    numpy kernels are used: each one touched for the first time adds its
+    code pages to the resident set.
     """
     import numpy as np
 
@@ -400,10 +413,27 @@ def _message(bucket, scope: Sequence[int], p: int, full: int, deadline: _Deadlin
     grid = scope[1:]
     lead, block, trail = grid[: max(0, d - k - 1)], grid[d - k - 1 : d - k], grid[d - k :]
     step = min(p, _CHUNK_CELLS // p**k) if block else 1
-    coord = {scope[0]: 0}
+    axis = {r: a for a, r in enumerate(grid)}
+    const, views, gathered = full, {}, []
+    for (fscope, tab) in bucket:
+        if fscope[0] == scope[0]:
+            over = fscope[1:]
+            if not over:
+                const &= int(tab)
+                continue
+        elif len(fscope) == 1:
+            m = int(tab)
+            over, tab = fscope, np.array([(m << t | m >> (p - t)) & full for t in range(p)], dtype=np.uint32)
+        else:
+            gathered.append((fscope, tab))
+            continue
+        axes = tuple(axis[r] for r in over)
+        view = tab.reshape([p if a in axes else 1 for a in range(d)])
+        views[axes] = views[axes] & view if axes in views else view
+    coord = {}
     for a, r in enumerate(trail):
         coord[r] = np.arange(p, dtype=np.uint32).reshape([p if i == a + 1 else 1 for i in range(k + 1)])
-    out = np.empty(p ** max(0, d - 1), dtype=np.uint32)
+    out = np.zeros((p ** max(0, d - 1), 4), dtype=np.uint8)
     for i, prefix in enumerate(itertools.product(range(p), repeat=len(lead))):
         coord.update(zip(lead, prefix))
         for lo in range(0, p if block else 1, step):
@@ -411,20 +441,20 @@ def _message(bucket, scope: Sequence[int], p: int, full: int, deadline: _Deadlin
             hi = min(lo + step, p)
             if block:
                 coord[block[0]] = np.arange(lo, hi, dtype=np.uint32).reshape((-1,) + (1,) * k)
-            joined = np.full((hi - lo,) + (p,) * k, full, dtype=np.uint32)
-            for (fscope, tab) in bucket:
+            joined = np.full((hi - lo,) + (p,) * k, const, dtype=np.uint32)
+            for view in views.values():
+                ix = [x if n > 1 else 0 for x, n in zip(prefix, view.shape)]
+                if block:
+                    ix.append(slice(lo, hi) if view.shape[len(lead)] > 1 else slice(None))
+                joined &= view[tuple(ix)]
+            for (fscope, tab) in gathered:
                 t = coord[fscope[0]]
                 val = tab[tuple((coord[r] + p - t) % p for r in fscope[1:])]
-                if fscope[0] != scope[0]:
-                    val = val << t | val >> (p - t)  # bits >= p: cleared by the join
-                joined &= val
-            alive = np.minimum(joined, 1, out=joined).reshape(-1, p if d else 1)
-            packed = alive[:, 0].copy()
-            for c in range(1, alive.shape[1]):
-                packed |= alive[:, c] << c
+                joined &= val << t | val >> (p - t)  # bits >= p: cleared by the join
+            rows = np.packbits(joined.reshape(-1, p if d else 1) != 0, axis=-1, bitorder="little")
             at = (i * p + lo) * p ** max(0, k - 1)
-            out[at : at + len(packed)] = packed
-    return out
+            out[at : at + len(rows), : rows.shape[1]] = rows
+    return out.view("<u4").reshape(-1).astype(np.uint32, copy=False)
 
 
 def find_sp_hom(

@@ -253,3 +253,22 @@ class TestUsage:
         code, _, err = run_cli(capsys, "chi-c", str(path))
         assert code == EXIT_USAGE
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("0 a\n1 2\n", "line 1: expected integers"),
+            ("0 1\n1 2.5\n", "line 2: expected integers"),
+            ("0 1\n\n0 2\n1 1\n", "line 3: vertex 0 already colored on line 1"),
+            ("# labels\n1 1\n0 2\n1 -1\n", "line 4: vertex 1 already colored on line 2"),
+        ],
+        ids=["letter", "fraction", "repeat", "repeat-after-comment"],
+    )
+    def test_malformed_coloring_reports_line(self, tmp_path, capsys, text, where):
+        gpath = write_graph(tmp_path, "digon.sg", build("DIGON").graph)
+        cpath = tmp_path / "bad.coloring"
+        cpath.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify-coloring", gpath, str(cpath))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: line") and where in err

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -6,8 +7,9 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sgchrom.campaigns import EnumSpec, enumerate_signed
@@ -594,6 +596,141 @@ class TestBucketElimination:
             find_sp_hom(k5_indicator(), P103, deadline_s=1.0)
         assert info.traceback[-1].name == "check_clock"
         assert info.traceback[-2].name == "_message"
+
+
+def reference_message(bucket, scope, p, full, deadline):
+    """The join kernel that read every function by indexing with one
+    broadcast array per axis and packed each chunk one color at a time."""
+    d = len(scope) - 1
+    k = d
+    while p**k > solver._CHUNK_CELLS:
+        k -= 1
+    grid = scope[1:]
+    lead, block, trail = grid[: max(0, d - k - 1)], grid[d - k - 1 : d - k], grid[d - k :]
+    step = min(p, solver._CHUNK_CELLS // p**k) if block else 1
+    coord = {scope[0]: 0}
+    for a, r in enumerate(trail):
+        coord[r] = np.arange(p, dtype=np.uint32).reshape([p if i == a + 1 else 1 for i in range(k + 1)])
+    out = np.empty(p ** max(0, d - 1), dtype=np.uint32)
+    for i, prefix in enumerate(itertools.product(range(p), repeat=len(lead))):
+        coord.update(zip(lead, prefix))
+        for lo in range(0, p if block else 1, step):
+            deadline.check_clock()
+            hi = min(lo + step, p)
+            if block:
+                coord[block[0]] = np.arange(lo, hi, dtype=np.uint32).reshape((-1,) + (1,) * k)
+            joined = np.full((hi - lo,) + (p,) * k, full, dtype=np.uint32)
+            for (fscope, tab) in bucket:
+                t = coord[fscope[0]]
+                val = tab[tuple((coord[r] + p - t) % p for r in fscope[1:])]
+                if fscope[0] != scope[0]:
+                    val = val << t | val >> (p - t)
+                joined &= val
+            alive = np.minimum(joined, 1, out=joined).reshape(-1, p if d else 1)
+            packed = alive[:, 0].copy()
+            for c in range(1, alive.shape[1]):
+                packed |= alive[:, c] << c
+            at = (i * p + lo) * p ** max(0, k - 1)
+            out[at : at + len(packed)] = packed
+    return out
+
+
+def assert_same_message(got, want):
+    assert got.dtype == want.dtype == np.uint32
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def function_kind(fscope, scope):
+    """How solver._message reads the function over fscope in a bucket over scope."""
+    if fscope[0] == scope[0]:
+        return "anchored" if len(fscope) > 1 else "constant"
+    return "single" if len(fscope) == 1 else "gathered"
+
+
+class TestJoinKernel:
+    """solver._message against reference_message, byte for byte."""
+
+    def checked_messages(self, monkeypatch):
+        real, kinds = solver._message, []
+
+        def spy(bucket, scope, p, full, deadline):
+            got = real(bucket, scope, p, full, deadline)
+            assert_same_message(got, reference_message(bucket, scope, p, full, deadline))
+            kinds.extend(function_kind(fscope, scope) for fscope, _ in bucket)
+            return got
+
+        monkeypatch.setattr(solver, "_message", spy)
+        return kinds
+
+    def test_petersen_chi_c(self, monkeypatch):
+        kinds = self.checked_messages(monkeypatch)
+        assert chi_c(build("PETERSEN").graph, q_max=10).value == Fraction(10, 3)
+        assert {"anchored", "single"} <= set(kinds)
+
+    def test_k5_indicator(self, monkeypatch):
+        kinds = self.checked_messages(monkeypatch)
+        assert find_sp_hom(k5_indicator(), P103) is not None
+        assert set(kinds) == {"constant", "anchored", "single", "gathered"}
+
+    def test_density_family_deletion(self, monkeypatch):
+        kinds = self.checked_messages(monkeypatch)
+        g = density_deletions()[0]
+        assert verify_hom(g, find_sp_hom(g, P103))
+        assert set(kinds) == {"constant", "anchored", "single", "gathered"}
+
+
+# p at and around packbits' byte boundaries, up to the largest p elimination takes.
+KERNEL_P = (2, 6, 8, 10, 16, 24, 30, 32)
+
+
+def random_masks(rng, p, shape, density):
+    bits = rng.random(shape + (p,)) < density
+    return (bits.astype(np.uint64) << np.arange(p, dtype=np.uint64)).sum(axis=-1).astype(np.uint32)
+
+
+def random_bucket(p, d, counts, density, seed):
+    """A scope of d + 1 positions and a bucket over it with counts[0]
+    functions anchored at scope[0] (0-d ones included), counts[1]
+    single-vertex functions elsewhere and counts[2] multi-vertex functions
+    anchored elsewhere, each over at most four positions."""
+    rng = np.random.default_rng(seed)
+    scope = sorted(int(r) for r in rng.choice(4 * d + 4, d + 1, replace=False))
+    grid = scope[1:]
+
+    def members(lo, hi):
+        size = int(rng.integers(lo, min(hi, d) + 1))
+        return tuple(sorted(int(r) for r in rng.choice(grid, size, replace=False)))
+
+    fscopes = [(scope[0],) + members(0, 3) for _ in range(counts[0])]
+    if d >= 1:
+        fscopes += [members(1, 1) for _ in range(counts[1])]
+    if d >= 2:
+        fscopes += [members(2, 4) for _ in range(counts[2])]
+    bucket = [(fs, random_masks(rng, p, (p,) * (len(fs) - 1), density)) for fs in fscopes]
+    return [bucket[i] for i in rng.permutation(len(bucket))], scope
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    p=st.sampled_from(KERNEL_P),
+    d=st.integers(0, 20),
+    counts=st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3)),
+    density=st.sampled_from((0.3, 0.7, 0.95)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# No grid axes (a single cell), and grids with lead axes, looped over
+# outside the chunks, at p = 2, 10 and 32.
+@example(p=16, d=0, counts=(3, 3, 3), density=0.7, seed=0)
+@example(p=2, d=17, counts=(2, 3, 3), density=0.95, seed=1)
+@example(p=10, d=6, counts=(3, 3, 3), density=0.95, seed=2)
+@example(p=32, d=4, counts=(3, 3, 3), density=0.95, seed=3)
+def test_join_kernel_matches_reference(p, d, counts, density, seed):
+    d %= 1 + max(e for e in range(21) if p**e <= solver._MAX_GRID_CELLS)
+    bucket, scope = random_bucket(p, d, counts, density, seed)
+    full = (1 << p) - 1
+    got = solver._message(bucket, scope, p, full, solver._Deadline(None))
+    assert_same_message(got, reference_message(bucket, scope, p, full, solver._Deadline(None)))
 
 
 @st.composite
