@@ -430,6 +430,24 @@ def _embed(g: SignedMultigraph, h: SignedMultigraph) -> Optional[tuple[tuple[int
     return extend(0)
 
 
+def _negative_triangle_counts(g: SignedMultigraph) -> list[int]:
+    """Per vertex, the negative triangles through it whose three pairs are
+    each a single edge, sorted.
+
+    Switching keeps every cycle's sign and a relabelling only permutes
+    the counts, so switching isomorphic graphs have equal lists."""
+    single = {p: sig[0] for p, sig in g.pair_signs().items() if len(sig) == 1}
+    adj = _adjacency(g.n, single)
+    count = [0] * g.n
+    for (u, v), s in single.items():  # u < v < w counts each triangle once
+        for w in adj[v]:
+            if w > v and (u, w) in single and s * single[(u, w)] * single[(v, w)] < 0:
+                count[u] += 1
+                count[v] += 1
+                count[w] += 1
+    return sorted(count)
+
+
 def is_switching_isomorphic(g: SignedMultigraph, h: SignedMultigraph) -> bool:
     """True iff some vertex bijection plus switching maps g onto h.
 
@@ -437,12 +455,17 @@ def is_switching_isomorphic(g: SignedMultigraph, h: SignedMultigraph) -> bool:
     :func:`contains_switching_subgraph`) covers every pair and loop of g
     with its whole multiplicity, so it is a bijection that uses every
     edge: a switching isomorphism.  The search is exhaustive over vertex
-    maps and meant for gadget-sized graphs; it refuses n > 12.
+    maps and meant for gadget-sized graphs; it refuses n > 12.  Graphs
+    whose negative triangle counts differ are told apart before it: the
+    search would find a mismatch that sits in g rather than h only deep
+    in its tree.
     """
     if g.n != h.n or g.m != h.m:
         return False
     if g.n > _ISO_MAX_N:
         raise GraphError(f"is_switching_isomorphic limited to n <= {_ISO_MAX_N}")
+    if _negative_triangle_counts(g) != _negative_triangle_counts(h):
+        return False
     return _embed(g, h) is not None
 
 

@@ -301,6 +301,13 @@ class TestCanonicalSignature:
             assert canonical_signature(g) == canonical_signature(switch(g, xs))
 
 
+def complete_pair(n):
+    """The all-negative K_n and its copy with edge (0, 1) positive."""
+    neg = make_graph(n, [(u, v, NEG) for u in range(n) for v in range(u + 1, n)])
+    one = make_graph(n, [(u, v, POS if (u, v) == (0, 1) else NEG) for (u, v, _) in neg.edges])
+    return neg, one
+
+
 class TestSwitchingIsomorphism:
     def test_k4_switched(self):
         k4 = make_graph(4, [(u, v, NEG) for u in range(4) for v in range(u + 1, 4)])
@@ -343,11 +350,21 @@ class TestSwitchingIsomorphism:
             return fits(*args)
 
         monkeypatch.setattr(core, "_fits", counting)
-        n = 8
-        neg = make_graph(n, [(u, v, NEG) for u in range(n) for v in range(u + 1, n)])
-        one = make_graph(n, [(u, v, POS if (u, v) == (0, 1) else NEG) for (u, v, _) in neg.edges])
-        assert not is_switching_isomorphic(neg, one)
+        neg, one = complete_pair(8)
+        # The search itself: is_switching_isomorphic tells these apart first.
+        assert core._embed(neg, one) is None
         assert len(calls) <= 2000
+
+    def test_triangle_counts_decide_first(self, monkeypatch):
+        # Searched with the positive edge in g, the mismatch shows only
+        # deep in the tree (1.5 s at n = 8); the negative triangle counts
+        # tell the graphs apart before any search, in both orders.
+        from sgchrom import core
+
+        monkeypatch.setattr(core, "_embed", lambda g, h: pytest.fail("searched"))
+        neg, one = complete_pair(8)
+        assert not is_switching_isomorphic(one, neg)
+        assert not is_switching_isomorphic(neg, one)
 
     def test_size_guard(self):
         g = SignedMultigraph(13, ())

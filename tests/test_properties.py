@@ -96,6 +96,39 @@ def test_switching_isomorphism_matches_reference(case, data):
 
 
 @st.composite
+def dense_switch_perm(draw, max_n=8):
+    """A simple graph on up to max_n vertices with each pair an edge with
+    probability about 3/4, so that triangles of both signs abound, plus a
+    switch set and a relabelling."""
+    n = draw(st.integers(3, max_n))
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
+        kind = draw(st.integers(0, 3))  # 0: no edge, 1: positive, 2 and 3: negative
+        if kind:
+            edges.append((u, v, POS if kind == 1 else NEG))
+    xs = draw(st.sets(st.integers(0, n - 1)))
+    perm = draw(st.permutations(range(n)))
+    return SignedMultigraph(n, tuple(edges)), xs, perm
+
+
+@PROPERTY
+@given(dense_switch_perm(), st.data())
+def test_triangle_counts_keep_copies_isomorphic(case, data):
+    """Comparing negative triangle counts never rejects a relabelled,
+    switched copy, in either argument order; with one edge's sign flipped
+    on at most six vertices the answer is the all-bijections reference's."""
+    g, xs, perm = case
+    h = relabel(switch(g, xs), perm)
+    assert is_switching_isomorphic(g, h) and is_switching_isomorphic(h, g)
+    if h.m and h.n <= 6:
+        i = data.draw(st.integers(0, h.m - 1))
+        (u, v, s) = h.edges[i]
+        flipped = SignedMultigraph(h.n, h.edges[:i] + ((u, v, -s),) + h.edges[i + 1:])
+        want = oracle_switching_isomorphic(g, flipped)
+        assert is_switching_isomorphic(g, flipped) == is_switching_isomorphic(flipped, g) == want
+
+
+@st.composite
 def embedded_patterns(draw):
     """A host g and a pattern h: some edges of g on some of its vertices,
     relabeled and switched, so h always embeds."""

@@ -1,8 +1,10 @@
+import heapq
 import itertools
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,7 +20,7 @@ from sgchrom.catalog import names as catalog_names
 from sgchrom.clique import CliqueParams, antipode, neighbor_mask
 import sgchrom
 from sgchrom import solver
-from sgchrom.core import NEG, POS, SignedMultigraph, components, make_graph, switch
+from sgchrom.core import NEG, POS, SignedMultigraph, components, make_graph, relabel, switch
 from sgchrom.solver import (
     CeilingExhausted,
     EnumerationTruncated,
@@ -193,6 +195,11 @@ class TestCandidateParams:
             for ceiling in sorted(ceilings):
                 got = list(candidate_params(q_max, ceiling))
                 assert got == reference_candidate_params(q_max, ceiling), (q_max, ceiling)
+
+    def test_matches_eager_rule_at_large_q_max(self):
+        # Values with denominators up to 900 lie as close as 1/900**2.
+        for q_max, ceiling in ((200, Fraction(5, 2)), (900, Fraction(21, 10))):
+            assert list(candidate_params(q_max, ceiling)) == reference_candidate_params(q_max, ceiling)
 
     def test_lazy(self):
         # The first candidate comes without building the other ~250,000.
@@ -766,3 +773,178 @@ def test_package_import_leaves_numpy_unloaded():
     code = "import sys, sgchrom; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# -- chi_c's min-fill elimination order ----------------------------------------
+
+
+def reference_min_fill_order(order, tables):
+    """Greedy min-fill by a scan per step: recount every remaining
+    vertex's fill, take the least by (fill, not adjacent in the graph to
+    the vertex eliminated last, current degree, index), then join its
+    neighbors into a clique."""
+    nbrs = {v: set() for v in order}
+    for (a, b) in tables:
+        nbrs[a].add(b)
+    adj = {v: set(ws) for v, ws in nbrs.items()}
+
+    def key(v):
+        ws = sorted(adj[v])
+        fill = sum(1 for x, y in itertools.combinations(ws, 2) if y not in adj[x])
+        return (fill, not (eliminated and v in nbrs[eliminated[-1]]), len(ws), v)
+
+    eliminated = []
+    while adj:
+        v = min(adj, key=key)
+        ws = adj.pop(v)
+        for x in ws:
+            adj[x] |= ws - {x}
+            adj[x].discard(v)
+        eliminated.append(v)
+    return eliminated[::-1]
+
+
+def largest_scope(order, tables):
+    return max(map(len, solver._plan(order, tables, 1)))  # p = 1: no grid is too large
+
+
+def presentation(g, seed):
+    """g relabelled and switched, both drawn from the seed."""
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(switch(g, {v for v in range(g.n) if rng.random() < 0.5}), perm)
+
+
+def orders_and_tables(g, pq=(10, 3)):
+    tables = solver._pair_tables(g, CliqueParams(*pq))
+    order, _ = solver._static_order(g.edges, g.n)
+    return order, solver._min_fill_order(order, tables), tables
+
+
+class TestMinFillOrder:
+    def test_matches_per_step_scan(self):
+        graphs = small_classes(5) + [build(nm).graph for nm in catalog_names()]
+        graphs += [disjoint_union(build("PETERSEN").graph, negative_cycle(5), k5_indicator())]
+        graphs += [presentation(build("PETERSEN").graph, seed) for seed in range(20)]
+        for g in graphs:
+            order, sigma, tables = orders_and_tables(g)
+            assert sigma == reference_min_fill_order(order, tables), g
+            assert sorted(sigma) == list(range(g.n))
+
+    def test_petersen_width(self):
+        # Treewidth 4: min-fill finds it in every presentation, the static
+        # order never does.
+        petersen = build("PETERSEN").graph
+        for seed in range(200):
+            order, sigma, tables = orders_and_tables(presentation(petersen, seed))
+            assert (largest_scope(sigma, tables), largest_scope(order, tables)) == (4, 5), seed
+
+    @pytest.mark.parametrize(
+        "g", [negative_cycle(3000), apply_indicator(hajos_graph(5))], ids=["cycle3000", "density5"]
+    )
+    def test_no_size_cliff(self, monkeypatch, g):
+        # Every pick comes off the heap, and each step pushes only the
+        # vertices whose fill or degree it changed: on these sparse graphs
+        # at most one entry per vertex and two per edge in all.  A scan of
+        # every remaining vertex per step (reference_min_fill_order) takes
+        # seconds on the cycle.
+        order, _, tables = orders_and_tables(g)
+        entries, pops = [], []
+
+        def heapify(h):
+            entries.extend(h)
+            heapq.heapify(h)
+
+        def heappush(h, x):
+            entries.append(x)
+            heapq.heappush(h, x)
+
+        def heappop(h):
+            pops.append(h[0])
+            return heapq.heappop(h)
+
+        counting = SimpleNamespace(heapify=heapify, heappush=heappush, heappop=heappop)
+        monkeypatch.setattr(solver, "heapq", counting)
+        sigma = solver._min_fill_order(order, tables)
+        assert sorted(sigma) == list(range(g.n))
+        assert g.n <= len(pops) <= len(entries) <= g.n + len(tables)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(connected_graphs(), st.sampled_from([(6, 2), (8, 3), (10, 3), (12, 5), (14, 4), (16, 5), (32, 9)]))
+def test_min_fill_elimination_decides_as_fc_cbj(g, pq):
+    pr = CliqueParams(*pq)
+    _, sigma, tables = orders_and_tables(g, pq)
+    parents = solver._plan(sigma, tables, pr.p)
+    assume(parents is not None)
+    colors = solver._eliminate(sigma, tables, parents, pr.p, solver._Deadline(None))
+    doms = [(1 << pr.p) - 1] * g.n
+    fc = next(solver._search(list(range(g.n)), doms, tables, solver._Deadline(None)), None)
+    assert (colors is None) == (fc is None)
+    if colors is not None:
+        assert verify_hom(g, Homomorphism(pr, tuple(c for _, c in sorted(zip(sigma, colors)))))
+    if g.n <= 5:
+        assert (colors is not None) == oracle_colorable(g, pr.p, pr.q)
+
+
+def reference_chi_c(g, q_max=None):
+    """chi_c as one find_sp_hom call per candidate, outside chi_c, so that
+    every probe decides in the static order."""
+    q_max = q_max or g.n
+    loopless_deg = [sum(v in (a, b) for (a, b, _) in g.edges if a != b) for v in range(g.n)]
+    ceiling = Fraction(2 * max(2, max(loopless_deg)))
+    rejected = []
+    for cand in candidate_params(q_max, ceiling):
+        hom = find_sp_hom(g, cand)
+        if hom is not None:
+            return Fraction(cand.p, cand.q), cand, hom, rejected
+        rejected.append(cand)
+    raise AssertionError("no candidate")
+
+
+class TestChiCNarrowOrder:
+    GRAPHS = {nm: build(nm).graph for nm in catalog_names()}
+    GRAPHS.update({f"negative_cycle({k})": negative_cycle(k) for k in range(2, 9)})
+
+    @pytest.mark.parametrize("q_max", [None, 10])
+    def test_answers_match_static_order(self, monkeypatch, q_max):
+        want = {name: reference_chi_c(g, q_max) for name, g in self.GRAPHS.items()}
+        made, refuted = Counter(), Counter()
+        real_order, real_refutes = solver._min_fill_order, solver._narrow_refutes
+
+        def order_spy(order, tables):
+            made[name] += 1
+            return real_order(order, tables)
+
+        def refutes_spy(*args):
+            found = real_refutes(*args)
+            refuted[name] += found
+            return found
+
+        monkeypatch.setattr(solver, "_min_fill_order", order_spy)
+        monkeypatch.setattr(solver, "_narrow_refutes", refutes_spy)
+        for name, g in self.GRAPHS.items():
+            res = chi_c(g, q_max)
+            assert (res.value, res.params, res.witness, res.rejected) == want[name], name
+        # The order is made at most once per call; it proves seven of
+        # PETERSEN's rejections.
+        assert set(made.values()) == {1} and refuted["PETERSEN"] == 7, (made, refuted)
+
+    def test_campaigns_never_make_it(self, monkeypatch):
+        from sgchrom.campaigns import run_campaign
+
+        monkeypatch.setattr(solver, "_min_fill_order", lambda *args: pytest.fail("min-fill order made"))
+        for cid in ("BROOKS", "NEGATIVE_CYCLES"):
+            assert run_campaign(cid).passed, cid
+
+    def test_other_probes_never_make_it(self, monkeypatch):
+        # A colorable probe would pay for the min-fill pass and then the
+        # static one, so only chi_c asks for it: a find_sp_hom call of its
+        # own reaches the hand-off and eliminates in the static order alone.
+        plans = []
+        real_plan = solver._plan
+        monkeypatch.setattr(solver, "_plan", lambda *args: plans.append(args) or real_plan(*args))
+        monkeypatch.setattr(solver, "_min_fill_order", lambda *args: pytest.fail("min-fill order made"))
+        assert find_sp_hom(build("PETERSEN").graph, CliqueParams(28, 9)) is None
+        assert plans
