@@ -54,9 +54,10 @@ def _read_graph(path: str):
         return parse_graph_text(fh.read())
 
 
-def _read_coloring(path: str, g, p: int) -> Homomorphism:
-    """Coloring file: lines ``v c``, with c a +-1..+-5 label when p = 10
-    and a raw color integer otherwise.  Each vertex is listed once."""
+def _read_coloring(path: str, g, p: int) -> tuple[int, ...]:
+    """The colors of a coloring file, by vertex: lines ``v c``, with c a
+    +-1..+-5 label when p = 10 and a raw color integer otherwise.  Each
+    vertex is listed once."""
     assignment, seen = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -86,7 +87,7 @@ def _read_coloring(path: str, g, p: int) -> Homomorphism:
     missing = [v for v in range(g.n) if v not in assignment]
     if missing:
         raise GraphError(f"coloring missing vertices {missing}")
-    return Homomorphism(CliqueParams(p, 1), tuple(assignment[v] for v in range(g.n)))
+    return tuple(assignment[v] for v in range(g.n))
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -195,9 +196,8 @@ def _dispatch(args) -> int:
 
     if args.command == "verify-coloring":
         g = _read_graph(args.graph)
-        hom = _read_coloring(args.coloring, g, args.p)
-        hom = Homomorphism(CliqueParams(args.p, args.q), hom.assignment)
-        valid = verify_hom(g, hom)
+        pr = CliqueParams(args.p, args.q)
+        valid = verify_hom(g, Homomorphism(pr, _read_coloring(args.coloring, g, args.p)))
         _emit({"valid": valid, "p": args.p, "q": args.q}, fmt)
         return EXIT_OK if valid else EXIT_MATH_FAIL
 

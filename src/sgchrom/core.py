@@ -8,6 +8,11 @@ edge with exactly one endpoint in X; loop signs are unchanged.
 
 All values are immutable after construction; every operation returns a
 new graph.
+
+In a fixed labelling, one forest normal form (``_normalizing_switch``)
+decides switching equivalence.  Switching isomorphisms and switching
+subgraphs are embeddings into a switching graph (Brewster & Graves
+2009), found by the solver's FC-CBJ loop (``_embed``).
 """
 
 from __future__ import annotations
@@ -270,35 +275,10 @@ def _fits(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(f for f, (p, q) in enumerate(((bp, bn), (bn, bp))) if ap <= p and an <= q)
 
 
-def _parity_coloring(n: int, constraints) -> Optional[list[int]]:
-    """A 0/1 coloring x of 0..n-1 with x_u xor x_v = parity for every
-    (u, v, parity) constraint, or None if none exists.  The lowest vertex
-    of each constraint component gets 0."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v, parity) in constraints:
-        adj[u].append((v, parity))
-        adj[v].append((u, parity))
-    colour = [-1] * n
-    for root in range(n):
-        if colour[root] != -1:
-            continue
-        colour[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for (v, parity) in adj[u]:
-                want = colour[u] ^ parity
-                if colour[v] == -1:
-                    colour[v] = want
-                    stack.append(v)
-                elif colour[v] != want:
-                    return None
-    return colour
-
-
 def _normalizing_switch(g: SignedMultigraph) -> list[int]:
     """The 0/1 switch x that gives every pair of g's BFS spanning forest
-    its flip with more positive signs; each root keeps 0.
+    its flip with more positive signs; each root keeps 0, and the rest
+    are set from their forest parents in visiting order.
 
     The forest spans the orientable pairs only, those whose sign multiset
     changes under flipping (2 * #positive != multiplicity); digons and
@@ -309,9 +289,10 @@ def _normalizing_switch(g: SignedMultigraph) -> list[int]:
     """
     orientable = {p: sig for p, sig in g.pair_signs().items() if 2 * sig.count(POS) != len(sig)}
     # A forest pair is flipped iff its sign sum is negative (never a tie).
-    forest = bfs_forest(g.n, orientable)
-    flips = [(u, w, int(sum(orientable[(min(u, w), max(u, w))]) < 0)) for (u, w) in forest]
-    return _parity_coloring(g.n, flips)
+    x = [0] * g.n
+    for (u, w) in bfs_forest(g.n, orientable):  # each parent before its children
+        x[w] = x[u] ^ (sum(orientable[(min(u, w), max(u, w))]) < 0)
+    return x
 
 
 def switching_set(g1: SignedMultigraph, g2: SignedMultigraph) -> Optional[frozenset[int]]:
@@ -371,63 +352,77 @@ def canonical_signature(g: SignedMultigraph) -> SignedMultigraph:
 _ISO_MAX_N = 12
 
 
+class _LazyTable:
+    """A pair table of _embed whose mask for color c is ``mask(c)``, made
+    when it is read, so that memory stays linear in the host graph."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask):
+        self.mask = mask
+
+    def __getitem__(self, c: int) -> int:
+        return self.mask(c)
+
+
 def _embed(g: SignedMultigraph, h: SignedMultigraph) -> Optional[tuple[tuple[int, ...], frozenset[int]]]:
     """An injective vertex map phi of h into g and a switch set X of g
     such that switch(g, X) holds every edge of h under phi with its sign,
     or None.
 
-    Cycle signs fix a switching class (Zaslavsky, *Signed graphs*, 1982),
-    so the search only maps vertices and leaves the switch to the parity
-    2-coloring.  h's vertices are placed component by component, each
-    after the first next to an earlier one, so its candidates are the
-    neighbors of that one's image.  A candidate needs at least h's degree,
-    its loops, and a pair towards every placed neighbor that some flip
-    makes hold h's pair, and the parities that pairs fitting one flip
-    only fix must keep a 2-coloring.
+    A switching homomorphism into g is a sign-preserving homomorphism
+    into g's switching graph, which holds every vertex x of g twice, x
+    switched and x unswitched (Brewster & Graves, *Edge-switching
+    homomorphisms of edge-coloured graphs*, Discrete Math. 309, 2009); an
+    embedding is one that is also injective on g's vertices.  That is a
+    coloring of h under binary constraints, found by the solver's FC-CBJ
+    loop: value 2x + s sends an h vertex to x, with x switched iff
+    s = 1.  An h pair with sign multiset A allows (x, s) beside (y, t)
+    when x, y is a pair of g, with multiset B, and s ^ t is in
+    _fits(A, B); every other h pair only needs x != y.  A vertex's domain
+    holds the x with at least its degree and room for its loops, which
+    switching keeps.  The order and its roots are _static_order's over
+    h's edges; complementing s across one component of h changes no
+    constraint, so each root is pinned unswitched.
     """
-    hp, gp = h.pair_signs(), g.pair_signs()
-    hloops, gloops = h.loop_signs(), g.loop_signs()
-    hadj, gadj = _adjacency(h.n, hp), _adjacency(g.n, gp)
-    hdeg, gdeg = _degrees(h), _degrees(g)
-    order = [v for comp in components(h.n, hp) for v in comp]
-    depth_of = {v: i for i, v in enumerate(order)}
-    # Per depth: h's placed neighbors of the vertex, with their pair signs.
-    back = [
-        [(u, hp[(min(u, v), max(u, v))]) for u in hadj[v] if depth_of[u] < depth_of[v]]
-        for v in order
-    ]
-    phi = [-1] * h.n
-    used = [False] * g.n
-    cons: list[tuple[int, int, int]] = []  # parity constraints of the placed pairs
+    from .solver import _Deadline, _search, _static_order  # solver imports core
 
-    def extend(depth: int) -> Optional[tuple[tuple[int, ...], frozenset[int]]]:
-        if depth == h.n:
-            colour = _parity_coloring(h.n, cons)
-            return tuple(phi), frozenset(phi[v] for v in range(h.n) if colour[v])
-        hv = order[depth]
-        loops = hloops.get(hv, ())
-        mark = len(cons)
-        for gv in gadj[phi[back[depth][0][0]]] if back[depth] else range(g.n):
-            if used[gv] or gdeg[gv] < hdeg[hv] or 0 not in _fits(loops, gloops.get(gv, ())):
-                continue
-            for (u, sig) in back[depth]:
-                flips = _fits(sig, gp.get((min(phi[u], gv), max(phi[u], gv)), ()))
-                if not flips:
-                    break
-                if len(flips) == 1:
-                    cons.append((u, hv, flips[0]))
-            else:
-                if len(cons) == mark or _parity_coloring(h.n, cons) is not None:
-                    phi[hv] = gv
-                    used[gv] = True
-                    found = extend(depth + 1)
-                    if found is not None:
-                        return found
-                    used[gv] = False
-            del cons[mark:]
+    gp, gloops, gdeg = g.pair_signs(), g.loop_signs(), _degrees(g)
+    hp, hloops, hdeg = h.pair_signs(), h.loop_signs(), _degrees(h)
+    gadj: list[list] = [[] for _ in range(g.n)]
+    for (x, y), b in gp.items():
+        gadj[x].append((y, b))
+        gadj[y].append((x, b))
+    full = (1 << 2 * g.n) - 1
+    apart = _LazyTable(lambda c: full ^ (3 << (c & ~1)))
+
+    def fitting(sig):
+        flips = {b: _fits(sig, b) for b in set(gp.values())}
+        # bits[x]: the values 2y + f that (x, 0) allows; (x, 1) allows each with f flipped.
+        bits = [tuple(2 * y + f for (y, b) in row for f in flips[b]) for row in gadj]
+        return _LazyTable(lambda c: sum(1 << (b ^ (c & 1)) for b in bits[c >> 1]))
+
+    paired = {sig: fitting(sig) for sig in set(hp.values())}
+    tables = {}
+    for u in range(h.n):
+        for v in range(u + 1, h.n):
+            sig = hp.get((u, v))
+            tables[(u, v)] = tables[(v, u)] = apart if sig is None else paired[sig]
+
+    def room(v, x):  # x has v's degree, and its loops hold v's
+        return gdeg[x] >= hdeg[v] and (v not in hloops or 0 in _fits(hloops[v], gloops.get(x, ())))
+
+    domains = [sum(3 << 2 * x for x in range(g.n) if room(v, x)) for v in range(h.n)]
+    order, roots = _static_order(h.edges, h.n)
+    for v in roots:
+        domains[v] &= full // 3  # the even values: x unswitched
+    sol = next(_search(order, domains, tables, _Deadline(None)), None)
+    if sol is None:
         return None
-
-    return extend(0)
+    phi = [0] * h.n
+    for v, c in zip(order, sol):
+        phi[v] = c >> 1
+    return tuple(phi), frozenset(c >> 1 for c in sol if c & 1)
 
 
 def _negative_triangle_counts(g: SignedMultigraph) -> list[int]:
@@ -477,8 +472,9 @@ def contains_switching_subgraph(
     Returns (phi, X) where phi is an injective vertex map and X a switch
     set of g such that every edge of h appears in switch(g, X) under phi
     with matching sign, or None.  h must be small (<= 6 vertices); g may
-    be large - the search walks g's adjacency, so it stays cheap on
-    sparse graphs.
+    be large: forward checking keeps each placed neighbor's image
+    adjacent, and the pair tables make each mask when it is read, so
+    memory stays linear in g's size.
     """
     if h.n > 6:
         raise GraphError("subgraph pattern limited to 6 vertices")

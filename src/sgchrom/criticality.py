@@ -116,9 +116,6 @@ class DensityVerdict:
     lhs: int           # |E|
     rhs_num: int       # 3|V| + 1, compared as 2|E| >= 3|V| + 1
 
-    def to_json(self) -> dict:
-        return {"passes": self.passes, "edges": self.lhs, "three_v_plus_1_halves": self.rhs_num / 2}
-
 
 def density_check(g: SignedMultigraph) -> DensityVerdict:
     """Exact integer check of |E| >= (3|V| + 1) / 2."""

@@ -2,9 +2,10 @@
 
 All search runs in one FC-CBJ loop, ``_search``: backtracking with
 forward checking and conflict-directed backjumping (Prosser 1993) along
-a static order.  It is an iterative generator that keeps its state in
-per-depth lists, so graph size is not bounded by the recursion limit,
-and it yields every coloring in lexicographic order.
+a static order.  Besides the colorings below, it finds the switching
+embeddings of ``core._embed``.  It is an iterative generator that keeps
+its state in per-depth lists, so graph size is not bounded by the
+recursion limit, and it yields every coloring in lexicographic order.
 
 ``find_sp_hom`` decides colorability exactly by taking the first
 coloring the loop yields along one static maximum-cardinality order of
@@ -194,11 +195,14 @@ def _search(order, domains, tables, deadline, elim_p=None, min_fill=None) -> Ite
     """Forward checking with conflict-directed backjumping (FC-CBJ).
 
     Yields every coloring of ``order`` (colors listed in that order), in
-    lexicographic order.  Plain chronological backtracking re-enumerates
-    the internal solutions of already-satisfied private substructures
-    (edge gadgets, pendant trees) while a later part of the graph is the
-    real culprit, which is exponentially wasteful on gadget-replaced
-    graphs.  Backjumping keeps the search complete and deterministic: on
+    lexicographic order.  It serves colorings into a clique and switching
+    embeddings (core._embed), whose colors are the vertices of a
+    switching graph; ``tables[(u, v)][c]`` is the mask of v's colors
+    allowed beside color c of u.  Plain chronological backtracking
+    re-enumerates the internal solutions of already-satisfied private
+    substructures (edge gadgets, pendant trees) while a later part of the
+    graph is the real culprit, which is exponentially wasteful on
+    gadget-replaced graphs.  Backjumping keeps the search complete and deterministic: on
     a wipeout the conflict is charged to the depths that pruned the wiped
     vertex, and an exhausted depth jumps straight to the deepest depth in
     its conflict set.  After a solution the last depth's conflict set

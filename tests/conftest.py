@@ -9,6 +9,7 @@ with numpy boolean tensors.  Tests compare the fast paths against these.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
@@ -155,3 +156,42 @@ def random_signed_graph(rng, n_max=6, p_edge=0.5, allow_digons=False) -> SignedM
                 if allow_digons and rng.random() < 0.15:
                     edges.append((u, v, -edges[-1][2]))
     return SignedMultigraph(n, tuple(edges))
+
+
+def oracle_embedding(g: SignedMultigraph, h: SignedMultigraph):
+    """An (injective map phi of h into g, switch set X of g) such that
+    switch(g, X) holds every pair and loop multiset of h under phi, or
+    None.  Tries all 2^n switch sets and all injective maps (g.n <= 5);
+    switching is applied edge by edge, not through the library."""
+    assert g.n <= 5, "the reference tries every switch set and injective map"
+    need = Counter((min(u, v), max(u, v), s) for (u, v, s) in h.edges)
+    for bits in range(1 << g.n):
+        have = Counter()
+        for (u, v, s) in g.edges:
+            flip = (bits >> u & 1) != (bits >> v & 1)
+            have[(min(u, v), max(u, v), -s if flip else s)] += 1
+        for phi in itertools.permutations(range(g.n), h.n):
+            if all(have[(min(phi[u], phi[v]), max(phi[u], phi[v]), s)] >= c for (u, v, s), c in need.items()):
+                return phi, frozenset(x for x in range(g.n) if bits >> x & 1)
+    return None
+
+
+def grouped(g: SignedMultigraph) -> dict:
+    """Sign counts per unordered pair, loops included."""
+    out: dict = {}
+    for (u, v, s) in g.edges:
+        out.setdefault((min(u, v), max(u, v)), Counter())[s] += 1
+    return out
+
+
+def assert_embedding(g: SignedMultigraph, h: SignedMultigraph, found) -> None:
+    """``found`` = (phi, X) is injective, and switch(g, X) holds every
+    pair and loop multiset of h under phi."""
+    from sgchrom.core import switch
+
+    phi, xs = found
+    assert len(set(phi)) == h.n
+    host = grouped(switch(g, xs))
+    for pair, need in grouped(h).items():
+        have = host.get((min(phi[pair[0]], phi[pair[1]]), max(phi[pair[0]], phi[pair[1]])), Counter())
+        assert all(have[s] >= c for s, c in need.items())

@@ -238,6 +238,15 @@ class TestUsage:
         gpath = write_graph(tmp_path, "digon.sg", build("DIGON").graph)
         self.assert_usage_error(capsys, "verify-coloring", gpath, str(tmp_path / "missing.coloring"))
 
+    def test_bad_params_name_the_given_q(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, "digon.sg", build("DIGON").graph)
+        cpath = tmp_path / "digon.coloring"
+        cpath.write_text("0 0\n1 1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify-coloring", gpath, str(cpath), "--p", "7", "--q", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "q=2" in err
+
     def test_uncreatable_witness_directory(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")

@@ -21,7 +21,9 @@ from sgchrom.core import (
 )
 
 from conftest import (
+    assert_embedding,
     negative_cycle_fingerprint,
+    oracle_embedding,
     oracle_switch_equivalent,
     oracle_switching_isomorphic,
     random_signed_graph,
@@ -366,6 +368,21 @@ class TestSwitchingIsomorphism:
         assert not is_switching_isomorphic(one, neg)
         assert not is_switching_isomorphic(neg, one)
 
+    def test_slow_order_work_guard(self, monkeypatch):
+        # With the positive edge in g every partial map fits until late;
+        # forward checking over the switching graph keeps the proof to a
+        # few thousand nodes at n = 7 (3,589), where a search over vertex
+        # maps alone walks (n - 2)! of them.  Counted in nodes: with a
+        # checkpoint at every node, each node reads the clock once.
+        from sgchrom import core, solver
+
+        nodes = []
+        monkeypatch.setattr(solver, "_CHECK_NODES", 1)
+        monkeypatch.setattr(solver._Deadline, "check_clock", lambda self: nodes.append(1))
+        neg, one = complete_pair(7)
+        assert core._embed(one, neg) is None
+        assert 0 < len(nodes) <= 5000
+
     def test_size_guard(self):
         g = SignedMultigraph(13, ())
         with pytest.raises(GraphError):
@@ -448,6 +465,45 @@ class TestContainsSwitchingSubgraph:
                 key = (min(phi[u], phi[v]), max(phi[u], phi[v]))
                 assert s in pairs[key]
         assert hits > 10
+
+
+def random_pattern(rng, g):
+    """Some edges of g on some of its vertices, relabelled and switched,
+    so that it always embeds."""
+    verts = rng.sample(range(g.n), rng.randint(1, min(4, g.n)))
+    index = {v: i for i, v in enumerate(verts)}
+    kept = [(index[u], index[v], s) for (u, v, s) in g.edges if u in index and v in index and rng.random() < 0.7]
+    h = SignedMultigraph(len(verts), tuple(kept))
+    return switch(h, {v for v in range(h.n) if rng.random() < 0.5})
+
+
+class TestEmbeddingAgainstReference:
+    """contains_switching_subgraph against the all-maps, all-switches
+    reference on seeded random multigraphs, g up to 5 vertices and h up
+    to 4, with loops, digons and same-sign parallels.  Dense graphs put
+    many cycles under each map, so a wrong switch parity shows."""
+
+    def test_random_pairs(self):
+        rng = random.Random(41)
+        hits = misses = 0
+        for _ in range(400):
+            g = random_multigraph(rng, n_max=5)
+            h = random_multigraph(rng, n_max=4) if rng.random() < 0.5 else random_pattern(rng, g)
+            found = contains_switching_subgraph(g, h)
+            assert (found is not None) == (oracle_embedding(g, h) is not None)
+            if found is None:
+                misses += 1
+            else:
+                hits += 1
+                assert_embedding(g, h, found)
+        assert hits > 100 and misses > 100
+
+    def test_patterns_embed(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            g = random_multigraph(rng, n_max=5)
+            h = random_pattern(rng, g)
+            assert_embedding(g, h, contains_switching_subgraph(g, h))
 
 
 class TestTextFormat:

@@ -5,7 +5,6 @@ on small random signed multigraphs.
 Derandomized, so every run draws the same examples."""
 
 import itertools
-from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +24,7 @@ from sgchrom.core import (
 )
 from sgchrom.solver import Homomorphism, find_sp_hom, verify_hom
 
-from conftest import oracle_switching_isomorphic
+from conftest import assert_embedding, oracle_switching_isomorphic
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -46,14 +45,6 @@ def graph_switch_perm(draw, **kwargs):
     xs = draw(st.sets(st.integers(0, g.n - 1)))
     perm = draw(st.permutations(range(g.n)))
     return g, xs, perm
-
-
-def grouped(g: SignedMultigraph) -> dict:
-    """Sign counts per unordered pair, loops included."""
-    out: dict = {}
-    for (u, v, s) in g.edges:
-        out.setdefault((min(u, v), max(u, v)), Counter())[s] += 1
-    return out
 
 
 @PROPERTY
@@ -141,15 +132,6 @@ def embedded_patterns(draw):
     h = SignedMultigraph(k, tuple(e for e, kept in zip(inside, keep) if kept))
     h = switch(h, draw(st.sets(st.integers(0, k - 1))))
     return g, h
-
-
-def assert_embedding(g, h, found):
-    phi, xs = found
-    assert len(set(phi)) == h.n
-    host = grouped(switch(g, xs))
-    for pair, need in grouped(h).items():
-        have = host.get((min(phi[pair[0]], phi[pair[1]]), max(phi[pair[0]], phi[pair[1]])), Counter())
-        assert all(have[s] >= c for s, c in need.items())
 
 
 @PROPERTY

@@ -948,3 +948,22 @@ class TestChiCNarrowOrder:
         monkeypatch.setattr(solver, "_min_fill_order", lambda *args: pytest.fail("min-fill order made"))
         assert find_sp_hom(build("PETERSEN").graph, CliqueParams(28, 9)) is None
         assert plans
+
+    @pytest.mark.parametrize("p, q", [(32, 10), (22, 7)])
+    def test_refutes_where_static_plan_is_too_large(self, monkeypatch, p, q):
+        # The k = 1 DENSITY_FAMILY member: the static plan needs a scope of
+        # 6 at p = 32 (32**5 cells, over _MAX_GRID_CELLS), the min-fill plan
+        # only 5, so the min-fill order alone proves the fraction out.
+        # Both fractions lie below 10/3, so the graph has no coloring.
+        calls = []
+        real_refutes = solver._narrow_refutes
+
+        def refutes_spy(order, tables, static, *rest):
+            found = real_refutes(order, tables, static, *rest)
+            calls.append((static is None, found))
+            return found
+
+        monkeypatch.setattr(solver, "_narrow_refutes", refutes_spy)
+        g = apply_indicator(hajos_graph(1))
+        assert find_sp_hom(g, CliqueParams(p, q), _min_fill=[]) is None
+        assert calls == [(True, True)]
