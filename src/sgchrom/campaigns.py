@@ -25,11 +25,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
 
-import numpy as np
-
 from . import _canon
 from .catalog import apply_indicator, build, hajos_graph, negative_cycle
-from .clique import CliqueParams, hat_clique
+from .clique import CliqueParams
 from .core import (
     NEG,
     POS,
@@ -41,7 +39,7 @@ from .core import (
     is_switching_isomorphic,
 )
 from .criticality import density_check, is_critical, is_two_connected
-from .solver import chi_c, is_colorable, verify_hom
+from .solver import CeilingExhausted, chi_c, enumerate_homs, is_colorable, verify_hom
 
 P103 = CliqueParams(10, 3)
 
@@ -252,33 +250,21 @@ def _pmap(fn, items, threads: int):
 
 def campaign_T_surjective() -> CampaignReport:
     """Every homomorphism of the 5-vertex gadget T (any switching) into
-    the halved (10, 3) clique must use all five target vertices."""
-    rep = CampaignReport("T_SURJECTIVE")
+    the halved (10, 3) clique must use all five target vertices.  Colors
+    i and i + 5 are anti-twins, so a switch set X with such a map m is
+    one coloring c of T into the whole clique, c(v) = m(v) + 5 * [v in X]:
+    T's colorings decide all 10 ** 5 pairs (X, m)."""
     t = build("T").graph
-    hat = hat_clique(P103)
-    half = hat.n
-    ok = {POS: np.zeros((half, half), dtype=bool), NEG: np.zeros((half, half), dtype=bool)}
-    for (u, v, s) in hat.edges:
-        ok[s][u, v] = True
-        ok[s][v, u] = True
-    maps = np.array(list(itertools.product(range(half), repeat=t.n)), dtype=np.int64)
-    valid_total = 0
-    for switch_bits in range(1 << t.n):
-        xs = {v for v in range(t.n) if switch_bits >> v & 1}
-        valid = np.ones(len(maps), dtype=bool)
-        for (u, v, s) in t.edges:
-            s_eff = -s if ((u in xs) != (v in xs)) else s
-            valid &= ok[s_eff][maps[:, u], maps[:, v]]
-        rep.cases_checked += len(maps)
-        if valid.any():
-            sub = maps[valid]
-            valid_total += len(sub)
-            srt = np.sort(sub, axis=1)
-            bijective = (np.diff(srt, axis=1) != 0).all(axis=1)
-            for row in sub[~bijective]:
-                rep.failures.append({"switch_set": sorted(xs), "map": row.tolist()})
-    rep.extra["valid_homomorphisms"] = valid_total
-    if valid_total == 0:
+    half = P103.half
+    rep = CampaignReport("T_SURJECTIVE", cases_checked=P103.p ** t.n)
+    colorings = [hom.assignment for hom in enumerate_homs(t, P103)]
+    # Switch sets in ascending bit order, then maps in lexicographic order.
+    for col in sorted(colorings, key=lambda col: ([c // half for c in col[::-1]], [c % half for c in col])):
+        m = [c % half for c in col]
+        if len(set(m)) < half:
+            rep.failures.append({"switch_set": [v for v, c in enumerate(col) if c >= half], "map": m})
+    rep.extra["valid_homomorphisms"] = len(colorings)
+    if not colorings:
         rep.failures.append({"error": "no valid homomorphism exists at all"})
     return rep
 
@@ -356,9 +342,12 @@ def campaign_small_critical(threads: int = 1) -> CampaignReport:
     return rep
 
 
-def _probe_brooks(g: SignedMultigraph):
-    res = chi_c(g, ceiling=Fraction(10, 3))
-    return (res.value, res.params.p, res.params.q)
+def _probe_brooks(g: SignedMultigraph) -> Optional[Fraction]:
+    """chi_c of g up to 10/3, or None when g is not (10, 3)-colorable."""
+    try:
+        return chi_c(g, ceiling=Fraction(10, 3)).value
+    except CeilingExhausted:
+        return None
 
 
 def campaign_brooks(n_max: int = 7, threads: int = 1) -> CampaignReport:
@@ -379,8 +368,8 @@ def campaign_brooks(n_max: int = 7, threads: int = 1) -> CampaignReport:
     attains = []
     rep.cases_checked = len(graphs)
     results = _pmap(_probe_brooks, graphs, threads)
-    for g, (value, p, q) in zip(graphs, results):
-        if value > Fraction(10, 3):
+    for g, value in zip(graphs, results):
+        if value is None:
             rep.failures.append({"graph": format_graph_text(g), "error": "not (10,3)-colorable"})
         elif value == Fraction(10, 3):
             attains.append(format_graph_text(g))

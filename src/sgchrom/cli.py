@@ -22,7 +22,6 @@ from .criticality import critical_check, potential
 from .solver import (
     CeilingExhausted,
     Homomorphism,
-    NegativeLoopError,
     SearchDeadlineExceeded,
     chi_c,
     find_sp_hom,
@@ -171,9 +170,6 @@ def _dispatch(args) -> int:
         ceiling = _parse_fraction(args.ceiling) if args.ceiling else None
         try:
             res = chi_c(g, args.q_max, ceiling=ceiling, deadline_s=args.deadline_s)
-        except NegativeLoopError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         except CeilingExhausted as exc:
             _emit({"status": "no candidate within ceiling", "ceiling": str(exc.ceiling), "q_max": exc.q_max}, fmt)
             return EXIT_MATH_FAIL

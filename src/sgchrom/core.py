@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 POS = 1
 NEG = -1
@@ -223,48 +223,43 @@ def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     return adj
 
 
-def components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Connected components of the graph on 0..n-1 with edges ``pairs``,
-    ordered by their lowest vertex (each component starts with it)."""
+def _bfs(n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[Optional[int], int]]:
+    """(parent, vertex) of the graph on 0..n-1 with edges ``pairs`` in
+    breadth-first visiting order, parent None at each root: lowest root
+    first, neighbors in increasing order, first in first out."""
     adj = _adjacency(n, pairs)
     seen = [False] * n
-    comps = []
     for root in range(n):
         if seen[root]:
             continue
         seen[root] = True
-        comp = [root]
-        stack = [root]
-        while stack:
-            for w in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
-
-
-def bfs_forest(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Tree edges (parent, child) of the BFS spanning forest of the graph
-    on 0..n-1 with edges ``pairs``, in visiting order: lowest root first,
-    neighbors in increasing order, first in first out."""
-    adj = _adjacency(n, pairs)
-    seen = [False] * n
-    forest = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
+        yield None, root
         queue = deque([root])
         while queue:
             u = queue.popleft()
             for w in adj[u]:
                 if not seen[w]:
                     seen[w] = True
-                    forest.append((u, w))
+                    yield u, w
                     queue.append(w)
-    return forest
+
+
+def components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the graph on 0..n-1 with edges ``pairs``,
+    ordered by their lowest vertex (each component starts with it)."""
+    comps: list[list[int]] = []
+    for u, w in _bfs(n, pairs):
+        if u is None:
+            comps.append([w])
+        else:
+            comps[-1].append(w)
+    return comps
+
+
+def bfs_forest(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Tree edges (parent, child) of the BFS spanning forest of the graph
+    on 0..n-1 with edges ``pairs``, in visiting order (``_bfs``)."""
+    return [(u, w) for u, w in _bfs(n, pairs) if u is not None]
 
 
 def _fits(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 from .clique import _params
 from .core import SignedMultigraph, components
-from .solver import NegativeLoopError, is_colorable
+from .solver import NegativeLoopError, _Deadline, is_colorable
 
 
 def potential(g: SignedMultigraph) -> int:
@@ -56,10 +56,11 @@ def _critical(g: SignedMultigraph, solved: Iterator[bool]) -> bool:
 
 def _solves(g: SignedMultigraph, pr, deadline_s: Optional[float]) -> Iterator[bool]:
     """Colorability of g, then of g minus edge i for i = 0..m-1, each
-    solved only when asked for."""
-    yield is_colorable(g, pr, deadline_s=deadline_s)
+    solved only when asked for, all within one ``deadline_s``."""
+    deadline = _Deadline(deadline_s)
+    yield is_colorable(g, pr, deadline_s=deadline.left())
     for i in range(g.m):
-        yield is_colorable(_without_edge(g, i), pr, deadline_s=deadline_s)
+        yield is_colorable(_without_edge(g, i), pr, deadline_s=deadline.left())
 
 
 def is_critical(g: SignedMultigraph, params, *, deadline_s: Optional[float] = None) -> bool:
@@ -90,13 +91,14 @@ def critical_subgraph(g: SignedMultigraph, params, *, deadline_s: Optional[float
     Requires a non-colorable input.
     """
     pr = _params(params)
-    if is_colorable(g, pr, deadline_s=deadline_s):
+    deadline = _Deadline(deadline_s)
+    if is_colorable(g, pr, deadline_s=deadline.left()):
         raise ValueError("graph is colorable; no critical subgraph exists")
     cur = g
     idx = 0
     while idx < cur.m:
         candidate = _without_edge(cur, idx)
-        if not is_colorable(candidate, pr, deadline_s=deadline_s):
+        if not is_colorable(candidate, pr, deadline_s=deadline.left()):
             cur = candidate
         else:
             idx += 1

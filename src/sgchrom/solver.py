@@ -41,11 +41,12 @@ hand-off a probe of ``chi_c`` first eliminates in a greedy min-fill
 order (Bodlaender & Koster 2010), made once per call, when that order's
 largest scope is smaller than the static order's, or when only it fits
 the grid limit: on Petersen its grids have p**3 cells instead of p**4.
-Elimination never reads the pinned domains and every function commutes
-with rotation in any order, so an empty message there is a complete
-proof of non-colorability.  A colorable answer is dropped and the probe
-goes on as any other, so back-substitution runs only in the static
-order and every witness stays the one above.
+Other pinned searches try that order only when the static one does not
+fit.  Elimination never reads the pinned domains and every function
+commutes with rotation in any order, so an empty message there is a
+complete proof of non-colorability.  A colorable answer is dropped and
+the probe goes on as any other, so back-substitution runs only in the
+static order and every witness stays the one above.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -115,7 +117,7 @@ _CHECK_NODES = 2048
 
 
 class _Deadline:
-    """Wall-clock limit of one find_sp_hom call, read at checkpoints."""
+    """Wall-clock limit of one call, read at checkpoints."""
 
     __slots__ = ("t_end",)
 
@@ -125,6 +127,15 @@ class _Deadline:
     def check_clock(self):
         if self.t_end is not None and time.monotonic() > self.t_end:
             raise SearchDeadlineExceeded()
+
+    def left(self) -> Optional[float]:
+        """Seconds left (None, unread, without a limit); raises once none are."""
+        if self.t_end is None:
+            return None
+        rest = self.t_end - time.monotonic()
+        if rest <= 0:
+            raise SearchDeadlineExceeded()
+        return rest
 
 
 def _pair_tables(g: SignedMultigraph, pr: CliqueParams):
@@ -216,8 +227,9 @@ def _search(order, domains, tables, deadline, elim_p=None, min_fill=None) -> Ite
     checkpoint, when ``elim_p`` (the clique's p) is given and a forward
     check has wiped out a domain, the search hands off.  When
     ``min_fill`` is given too (chi_c's slot for the graph's min-fill
-    order), it first stops, with no coloring, if elimination in that
-    narrower order refutes the graph (_narrow_refutes).  Then, if _plan
+    order) or no elimination in ``order`` fits, it first stops, with no
+    coloring, if the min-fill order refutes the graph (_narrow_refutes).
+    Then, if _plan
     finds a small enough elimination in ``order``, it yields
     _eliminate's coloring, if there is one, and stops; that needs every
     root pinned to color 0.  A search with no wipeout yet, such as on a
@@ -258,8 +270,8 @@ def _search(order, domains, tables, deadline, elim_p=None, min_fill=None) -> Ite
                 deadline.check_clock()
                 if elim_p is not None and wiped and nodes == _CHECK_NODES:
                     parents = _plan(order, tables, elim_p)
-                    if min_fill is not None and _narrow_refutes(
-                        order, tables, parents, elim_p, deadline, min_fill
+                    if (min_fill is not None or parents is None) and _narrow_refutes(
+                        order, tables, parents, elim_p, deadline, [] if min_fill is None else min_fill
                     ):
                         return
                     if parents is not None:
@@ -419,11 +431,16 @@ def _narrow_refutes(order, tables, static, p: int, deadline: _Deadline, slot: li
     static plan's, or the static plan is too large and the min-fill one
     is not.  An answer of "colorable" says nothing here: the caller goes
     on as if this had not run, so the witness stays the static order's.
-    Only chi_c asks for it: its probes are mostly rejections, while a
-    colorable probe pays for this pass and then the static one (tried on
-    every pinned hand-off, the gadget benchmark's mean pass took 28 %
-    longer).
+    chi_c asks at every hand-off, its probes being mostly rejections;
+    other searches only when the static plan is too large, as a colorable
+    probe pays for this pass and then the static one (asked at every
+    pinned hand-off, the gadget benchmark's mean pass took 28 % longer).
+    No plan fits if p ** (d - 1) > _MAX_GRID_CELLS at the least degree d:
+    any order's first elimination joins a vertex with all its neighbors.
     """
+    degree = Counter(a for (a, _) in tables)
+    if degree and p ** (min(degree.values()) - 1) > _MAX_GRID_CELLS:
+        return False
     if not slot:
         slot.append(_min_fill_order(order, tables))
     parents = _plan(slot[0], tables, p)
@@ -597,7 +614,8 @@ def find_sp_hom(
     pinned to color 0, which is sound because the clique is
     vertex-transitive under color rotation.  ``_min_fill`` is chi_c's
     alone: an empty list, or one holding the graph's min-fill order,
-    that lets a pinned search try a refutation in that order first.
+    that lets a pinned search try a refutation in that order first;
+    without it, one is tried only when no static plan fits.
     """
     pr = _params(params)
     if g.has_negative_loop:
@@ -734,15 +752,11 @@ def chi_c(
                 loopless_deg[b] += 1
         ceiling = Fraction(2 * max(2, max(loopless_deg)))
     t0 = time.monotonic()
-    remaining = None if deadline_s is None else deadline_s
+    deadline = _Deadline(deadline_s)
     rejected: list[CliqueParams] = []
     min_fill: list = []  # the probes' shared min-fill order, made on first need
     for cand in candidate_params(q_max, ceiling):
-        if deadline_s is not None:
-            remaining = deadline_s - (time.monotonic() - t0)
-            if remaining <= 0:
-                raise SearchDeadlineExceeded()
-        hom = find_sp_hom(g, cand, deadline_s=remaining, _min_fill=min_fill)
+        hom = find_sp_hom(g, cand, deadline_s=deadline.left(), _min_fill=min_fill)
         if hom is not None:
             return ChiCResult(
                 value=Fraction(cand.p, cand.q),

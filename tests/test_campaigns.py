@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,9 +34,9 @@ from sgchrom.core import (
     parse_graph_text,
     relabel,
 )
-from sgchrom.solver import is_colorable
+from sgchrom.solver import enumerate_homs, is_colorable
 
-from conftest import oracle_sign_tensors
+from conftest import oracle_sign_tensors, random_signed_graph
 
 
 def census_oracle_direct(n: int, allow_digons: bool) -> int:
@@ -256,12 +258,93 @@ class TestEnumerate:
         assert checked > 100
 
 
+def sweep_switched_maps(t: SignedMultigraph):
+    """Reference for T_SURJECTIVE, independent of the search: every switch
+    set X of t and every map of its vertices into the halved (10, 3)
+    clique, checked edge by edge on switch(t, X) with numpy.  Returns the
+    valid (X, map) pairs and, in report format, those whose map repeats a
+    vertex (on five vertices: is not onto), both switch sets in ascending
+    bit order, then maps in lexicographic order."""
+    hat = hat_clique(CliqueParams(10, 3))
+    half = hat.n
+    ok = {POS: np.zeros((half, half), dtype=bool), NEG: np.zeros((half, half), dtype=bool)}
+    for (u, v, s) in hat.edges:
+        ok[s][u, v] = True
+        ok[s][v, u] = True
+    maps = np.array(list(itertools.product(range(half), repeat=t.n)), dtype=np.int64)
+    valid_pairs, failures = [], []
+    for switch_bits in range(1 << t.n):
+        xs = {v for v in range(t.n) if switch_bits >> v & 1}
+        valid = np.ones(len(maps), dtype=bool)
+        for (u, v, s) in t.edges:
+            s_eff = -s if ((u in xs) != (v in xs)) else s
+            valid &= ok[s_eff][maps[:, u], maps[:, v]]
+        sub = maps[valid]
+        valid_pairs += [(tuple(sorted(xs)), tuple(row)) for row in sub.tolist()]
+        bijective = (np.diff(np.sort(sub, axis=1), axis=1) != 0).all(axis=1)
+        for row in sub[~bijective]:
+            failures.append({"switch_set": sorted(xs), "map": row.tolist()})
+    return valid_pairs, failures
+
+
+def pairs_from_colorings(t: SignedMultigraph) -> set:
+    """The (X, map) pairs of t's colorings into the whole (10, 3) clique:
+    X holds the vertices colored 5..9, and the map reduces colors mod 5."""
+    return {
+        (
+            tuple(v for v, c in enumerate(hom.assignment) if c >= 5),
+            tuple(c % 5 for c in hom.assignment),
+        )
+        for hom in enumerate_homs(t, CliqueParams(10, 3))
+    }
+
+
+def random_looped_graph(seed: int) -> SignedMultigraph:
+    rng = random.Random(seed)
+    g = random_signed_graph(rng, n_max=5, allow_digons=True)
+    loops = tuple((v, v, POS) for v in range(g.n) if rng.random() < 0.3)
+    return SignedMultigraph(g.n, g.edges + loops)
+
+
 class TestTSurjective:
     def test_passes(self):
         rep = campaign_T_surjective()
         assert rep.passed
         assert rep.cases_checked == 2**5 * 5**5
         assert rep.extra["valid_homomorphisms"] == 40
+
+    @pytest.mark.parametrize(
+        "name, count", [("T", 40), ("T_PLUS", 20), ("K4_MINUS", 0), ("H1", 120)]
+    )
+    def test_colorings_are_the_switched_maps_on_named_graphs(self, name, count):
+        g = build(name).graph
+        swept, _ = sweep_switched_maps(g)
+        assert len(swept) == len(set(swept)) == count
+        assert pairs_from_colorings(g) == set(swept)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_colorings_are_the_switched_maps_on_random_graphs(self, seed):
+        g = random_looped_graph(seed)
+        swept, _ = sweep_switched_maps(g)
+        assert pairs_from_colorings(g) == set(swept)
+
+    def test_random_graphs_cover_loops_and_both_answers(self):
+        graphs = [random_looped_graph(seed) for seed in range(20)]
+        assert any(g.has_loop for g in graphs)
+        counts = [len(sweep_switched_maps(g)[0]) for g in graphs]
+        assert 0 in counts and any(counts)
+
+    def test_failures_keep_the_sweep_format_and_order(self, monkeypatch):
+        # T without its first edge has 500 valid pairs, 460 of them not onto.
+        t = build("T").graph
+        cut = SignedMultigraph(t.n, t.edges[1:])
+        monkeypatch.setattr(campaigns, "build", lambda name: SimpleNamespace(graph=cut))
+        rep = campaign_T_surjective()
+        swept, failures = sweep_switched_maps(cut)
+        assert rep.cases_checked == 10**5
+        assert rep.extra["valid_homomorphisms"] == len(swept) == 500
+        assert len(failures) == 460
+        assert rep.failures == failures
 
     def test_identity_embedding_into_pentagon_form(self):
         # The halved clique drawn on the even colors is a positive 5-cycle
@@ -378,6 +461,15 @@ class TestBrooks:
     def test_cap(self):
         with pytest.raises(ValueError):
             campaign_brooks(9)
+
+    def test_uncolorable_class_is_a_failure(self, monkeypatch):
+        # chi_c raises CeilingExhausted on a graph with no fraction up to
+        # 10/3; the campaign reports that graph instead of crashing.
+        digon = build("DIGON").graph
+        monkeypatch.setattr(campaigns, "enumerate_signed", lambda spec: iter([digon]))
+        rep = campaign_brooks()
+        assert rep.cases_checked == 1
+        assert rep.failures == [{"graph": format_graph_text(digon), "error": "not (10,3)-colorable"}]
 
 
 class TestNegativeCycles:

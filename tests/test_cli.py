@@ -264,6 +264,16 @@ class TestUsage:
         assert "line 2" in err
 
     @pytest.mark.parametrize(
+        "argv", [("chi-c",), ("check-hom", "10", "3"), ("critical-check", "10", "3")]
+    )
+    def test_negative_loop_is_usage_error(self, tmp_path, capsys, argv):
+        path = write_graph(tmp_path, "loop.sg", make_graph(2, [(0, 1, NEG), (1, 1, NEG)]))
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "negative loop" in err
+
+    @pytest.mark.parametrize(
         "text, where",
         [
             ("0 a\n1 2\n", "line 1: expected integers"),

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from sgchrom import criticality
 from sgchrom.catalog import apply_indicator, build, hajos_graph
 from sgchrom.clique import CliqueParams
 from sgchrom.core import (
@@ -13,13 +15,14 @@ from sgchrom.core import (
     make_graph,
 )
 from sgchrom.criticality import (
+    critical_check,
     critical_subgraph,
     density_check,
     is_critical,
     is_two_connected,
     potential,
 )
-from sgchrom.solver import NegativeLoopError, find_sp_hom, is_colorable, verify_hom
+from sgchrom.solver import NegativeLoopError, SearchDeadlineExceeded, find_sp_hom, is_colorable, verify_hom
 
 from conftest import oracle_colorable, random_signed_graph
 
@@ -148,6 +151,44 @@ class TestCriticalSubgraph:
             assert not is_colorable(sub, P103)
             assert is_critical(sub, P103)
             assert is_two_connected(sub)
+
+
+class TestOneDeadlinePerCall:
+    """deadline_s bounds a whole criticality call: each solve gets the time
+    that is left, and the call stops once none is."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # A stub solve that takes one second of a fake clock and reports
+        # "not colorable", so every call solves g and each edge deletion.
+        now = [100.0]
+        budgets = []
+
+        def stub(g, pr, *, deadline_s=None):
+            budgets.append(deadline_s)
+            now[0] += 1.0
+            return False
+
+        monkeypatch.setattr(time, "monotonic", lambda: now[0])
+        monkeypatch.setattr(criticality, "is_colorable", stub)
+        return budgets
+
+    @pytest.mark.parametrize("call", [critical_check, critical_subgraph])
+    def test_budgets_shrink(self, solves, call):
+        call(build("K4_MINUS").graph, P103, deadline_s=10.0)
+        assert solves == [10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0]
+
+    @pytest.mark.parametrize("call", [critical_check, critical_subgraph])
+    def test_stops_once_spent(self, solves, call):
+        with pytest.raises(SearchDeadlineExceeded):
+            call(build("K4_MINUS").graph, P103, deadline_s=3.5)
+        assert solves == [3.5, 2.5, 1.5, 0.5]
+
+    @pytest.mark.parametrize("call", [critical_check, critical_subgraph, is_critical])
+    def test_no_clock_without_deadline(self, solves, monkeypatch, call):
+        monkeypatch.setattr(time, "monotonic", lambda: pytest.fail("clock read"))
+        call(build("K4_MINUS").graph, P103)
+        assert solves and set(solves) == {None}
 
 
 class TestDensityCheck:

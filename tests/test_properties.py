@@ -1,5 +1,5 @@
 """Property tests for switching, canonical signatures, subgraph search,
-the component walk, colorability and its monotonicity under subgraphs,
+the component walk, the BFS forest, colorability and its monotonicity under subgraphs,
 on small random signed multigraphs.
 
 Derandomized, so every run draws the same examples."""
@@ -13,6 +13,7 @@ from sgchrom.core import (
     NEG,
     POS,
     SignedMultigraph,
+    bfs_forest,
     canonical_signature,
     components,
     contains_switching_subgraph,
@@ -180,6 +181,29 @@ def test_components_partition_the_vertices(case):
     where = {v: i for i, comp in enumerate(comps) for v in comp}
     for u, v in itertools.combinations(range(n), 2):
         assert (where[u] == where[v]) == (find(u) == find(v))
+
+
+@PROPERTY
+@given(vertex_pairs())
+def test_bfs_forest_matches_a_plain_bfs(case):
+    n, pairs = case
+    # Roots lowest first, each vertex's neighbors scanned ascending, a
+    # list read from the front as the queue.
+    nbrs = [sorted({b for (a, b) in pairs if a == v} | {a for (a, b) in pairs if b == v}) for v in range(n)]
+    seen, forest = set(), []
+    for root in range(n):
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = [root]
+        for u in queue:
+            for w in nbrs[u]:
+                if w not in seen:
+                    seen.add(w)
+                    forest.append((u, w))
+                    queue.append(w)
+    assert bfs_forest(n, pairs) == forest
+    assert len(forest) == n - len(components(n, pairs))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)

@@ -967,3 +967,38 @@ class TestChiCNarrowOrder:
         g = apply_indicator(hajos_graph(1))
         assert find_sp_hom(g, CliqueParams(p, q), _min_fill=[]) is None
         assert calls == [(True, True)]
+
+    @pytest.mark.parametrize("p, q", [(32, 10), (22, 7)])
+    @pytest.mark.parametrize("decide", ["find_sp_hom", "is_colorable"])
+    def test_plain_calls_refute_where_static_plan_is_too_large(self, monkeypatch, decide, p, q):
+        # Without chi_c's slot, the hand-off still tries the min-fill order
+        # when the static plan does not fit, instead of staying on FC-CBJ.
+        calls = []
+        real_refutes = solver._narrow_refutes
+
+        def refutes_spy(order, tables, static, *rest):
+            found = real_refutes(order, tables, static, *rest)
+            calls.append((static is None, found))
+            return found
+
+        monkeypatch.setattr(solver, "_narrow_refutes", refutes_spy)
+        g = apply_indicator(hajos_graph(1))
+        assert not getattr(solver, decide)(g, CliqueParams(p, q))
+        assert calls == [(True, True)]
+
+    def test_no_order_made_where_no_plan_can_fit(self, monkeypatch):
+        # K8's least degree is 7, so at p = 14 every order's first
+        # elimination needs a grid of 14**6 cells > 2**20: the refutation
+        # is asked for and declines before making the min-fill order.
+        calls = []
+        real_refutes = solver._narrow_refutes
+
+        def refutes_spy(order, tables, static, *rest):
+            found = real_refutes(order, tables, static, *rest)
+            calls.append((static is None, found))
+            return found
+
+        monkeypatch.setattr(solver, "_narrow_refutes", refutes_spy)
+        monkeypatch.setattr(solver, "_min_fill_order", lambda *args: pytest.fail("min-fill order made"))
+        assert find_sp_hom(negative_complete(8), (14, 2)) is None
+        assert calls == [(True, False)]
