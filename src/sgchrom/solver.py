@@ -16,7 +16,8 @@ the clock, the loop may return the answer of bucket elimination
 (Dechter 1999) in the reverse of the same order instead, provided that
 a forward check has wiped out a domain by then, no list domains are
 given, p <= 32, and the elimination's largest join grid has at most
-2**20 cells; otherwise FC-CBJ carries on.  Each elimination function is
+2**20 cells; otherwise FC-CBJ carries on.  (Probes of ``chi_c`` may
+stop earlier; see below.)  Each elimination function is
 stored once per rotation class: rotating every color is an automorphism
 of the clique, and only the roots are pinned, so a function is known
 from its values with its first argument at color 0.  That divides the
@@ -41,12 +42,15 @@ hand-off a probe of ``chi_c`` first eliminates in a greedy min-fill
 order (Bodlaender & Koster 2010), made once per call, when that order's
 largest scope is smaller than the static order's, or when only it fits
 the grid limit: on Petersen its grids have p**3 cells instead of p**4.
-Other pinned searches try that order only when the static one does not
-fit.  Elimination never reads the pinned domains and every function
-commutes with rotation in any order, so an empty message there is a
-complete proof of non-colorability.  A colorable answer is dropped and
-the probe goes on as any other, so back-substitution runs only in the
-static order and every witness stays the one above.
+Once one probe of the call has reached the hand-off, each later probe
+tries that refutation at its first wipeout instead of after 2,048 nodes
+of FC-CBJ, and, if it fails, hands off at node 2,048 to the static
+order alone.  Other pinned searches try that order only when the static
+one does not fit.  Elimination never reads the pinned domains and every
+function commutes with rotation in any order, so an empty message there
+is a complete proof of non-colorability.  A colorable answer is
+dropped and the probe goes on as any other, so back-substitution runs
+only in the static order and every witness stays the one above.
 """
 
 from __future__ import annotations
@@ -122,6 +126,8 @@ class _Deadline:
     __slots__ = ("t_end",)
 
     def __init__(self, seconds: Optional[float]):
+        if seconds != seconds:  # NaN compares false with every time: it would never expire
+            raise ValueError("deadline must be a number of seconds, not NaN")
         self.t_end = None if seconds is None else time.monotonic() + seconds
 
     def check_clock(self):
@@ -226,14 +232,19 @@ def _search(order, domains, tables, deadline, elim_p=None, min_fill=None) -> Ite
     Every _CHECK_NODES nodes it reads the clock.  At the first such
     checkpoint, when ``elim_p`` (the clique's p) is given and a forward
     check has wiped out a domain, the search hands off.  When
-    ``min_fill`` is given too (chi_c's slot for the graph's min-fill
-    order) or no elimination in ``order`` fits, it first stops, with no
-    coloring, if the min-fill order refutes the graph (_narrow_refutes).
-    Then, if _plan
-    finds a small enough elimination in ``order``, it yields
-    _eliminate's coloring, if there is one, and stops; that needs every
-    root pinned to color 0.  A search with no wipeout yet, such as on a
-    long path, stays on FC-CBJ.
+    ``min_fill`` is given too (chi_c's _MinFill slot) or no elimination
+    in ``order`` fits, it first stops, with no coloring, if the min-fill
+    order refutes the graph (_narrow_refutes).  Then, if _plan finds a
+    small enough elimination in ``order``, it yields _eliminate's
+    coloring, if there is one, and stops; that needs every root pinned
+    to color 0.  A search with no wipeout yet, such as on a long path,
+    stays on FC-CBJ.
+
+    Once a probe of the same chi_c call has handed off
+    (``min_fill.handed_off``), the refutation is asked at the first
+    wipeout instead, as later probes are mostly rejections too.  If it
+    fails, the search goes on and hands off at node _CHECK_NODES in
+    ``order`` alone, without asking again.
 
     ``tables`` covers exactly ``order``; ``domains`` is mutated.
     """
@@ -256,6 +267,8 @@ def _search(order, domains, tables, deadline, elim_p=None, min_fill=None) -> Ite
     nodes = 0
     next_check = _CHECK_NODES
     wiped = False
+    refute_early = elim_p is not None and min_fill is not None and min_fill.handed_off
+    static = None  # _plan's plan in ``order``, made when first needed
     i = 0
     untried[0] = domains[order[0]]
     while True:
@@ -269,13 +282,16 @@ def _search(order, domains, tables, deadline, elim_p=None, min_fill=None) -> Ite
                 next_check += _CHECK_NODES
                 deadline.check_clock()
                 if elim_p is not None and wiped and nodes == _CHECK_NODES:
-                    parents = _plan(order, tables, elim_p)
-                    if (min_fill is not None or parents is None) and _narrow_refutes(
-                        order, tables, parents, elim_p, deadline, [] if min_fill is None else min_fill
-                    ):
-                        return
-                    if parents is not None:
-                        sol = _eliminate(order, tables, parents, elim_p, deadline)
+                    if not refute_early:
+                        static = _plan(order, tables, elim_p)
+                        if min_fill is not None:
+                            min_fill.handed_off = True
+                        if (min_fill is not None or static is None) and _narrow_refutes(
+                            order, tables, static, elim_p, deadline, _MinFill() if min_fill is None else min_fill
+                        ):
+                            return
+                    if static is not None:
+                        sol = _eliminate(order, tables, static, elim_p, deadline)
                         if sol is not None:
                             yield sol
                         return
@@ -288,6 +304,10 @@ def _search(order, domains, tables, deadline, elim_p=None, min_fill=None) -> Ite
                     domains[w] = new
                     past_fc[j].add(i)
                     if new == 0:
+                        if refute_early and not wiped:
+                            static = _plan(order, tables, elim_p)
+                            if _narrow_refutes(order, tables, static, elim_p, deadline, min_fill):
+                                return
                         wiped = True
                         conf_set[i] |= past_fc[j] - {i}
                         break
@@ -421,18 +441,32 @@ def _min_fill_order(order: Sequence[int], tables) -> list[int]:
     return eliminated[::-1]
 
 
-def _narrow_refutes(order, tables, static, p: int, deadline: _Deadline, slot: list) -> bool:
+class _MinFill:
+    """What the probes of one chi_c call share about their graph: its
+    min-fill order, made on first need, and whether a probe has reached
+    the node-_CHECK_NODES hand-off.  Plain searches get a fresh one."""
+
+    __slots__ = ("order", "handed_off")
+
+    def __init__(self):
+        self.order: Optional[list[int]] = None
+        self.handed_off = False
+
+
+def _narrow_refutes(order, tables, static, p: int, deadline: _Deadline, slot: _MinFill) -> bool:
     """True when bucket elimination in the graph's min-fill order proves
     that it has no coloring; ``static`` is _plan's plan in ``order``, and
-    ``slot`` holds the min-fill order once made (chi_c's probes all ask
-    about one graph, so they share it).
+    ``slot.order`` holds the min-fill order once made (chi_c's probes all
+    ask about one graph, so they share it).
 
     Tried only when the min-fill plan's largest scope is smaller than the
     static plan's, or the static plan is too large and the min-fill one
     is not.  An answer of "colorable" says nothing here: the caller goes
     on as if this had not run, so the witness stays the static order's.
-    chi_c asks at every hand-off, its probes being mostly rejections;
-    other searches only when the static plan is too large, as a colorable
+    chi_c asks once per probe, its probes being mostly rejections: at
+    the hand-off until one of its probes has handed off, then at each
+    later probe's first wipeout.  Other searches ask only at the
+    hand-off and when the static plan is too large, as a colorable
     probe pays for this pass and then the static one (asked at every
     pinned hand-off, the gadget benchmark's mean pass took 28 % longer).
     No plan fits if p ** (d - 1) > _MAX_GRID_CELLS at the least degree d:
@@ -441,12 +475,12 @@ def _narrow_refutes(order, tables, static, p: int, deadline: _Deadline, slot: li
     degree = Counter(a for (a, _) in tables)
     if degree and p ** (min(degree.values()) - 1) > _MAX_GRID_CELLS:
         return False
-    if not slot:
-        slot.append(_min_fill_order(order, tables))
-    parents = _plan(slot[0], tables, p)
+    if slot.order is None:
+        slot.order = _min_fill_order(order, tables)
+    parents = _plan(slot.order, tables, p)
     if parents is None or (static is not None and max(map(len, parents)) >= max(map(len, static))):
         return False
-    return _send_messages(slot[0], tables, parents, p, deadline) is None
+    return _send_messages(slot.order, tables, parents, p, deadline) is None
 
 
 def _send_messages(order, tables, parents, p: int, deadline: _Deadline) -> Optional[list[list]]:
@@ -603,7 +637,7 @@ def find_sp_hom(
     *,
     domains: Optional[Sequence[int]] = None,
     deadline_s: Optional[float] = None,
-    _min_fill: Optional[list] = None,
+    _min_fill: Optional[_MinFill] = None,
 ) -> Optional[Homomorphism]:
     """Find one edge-sign-preserving homomorphism into the clique, or None.
 
@@ -613,9 +647,10 @@ def find_sp_hom(
     every connected component, its first vertex in the static order, is
     pinned to color 0, which is sound because the clique is
     vertex-transitive under color rotation.  ``_min_fill`` is chi_c's
-    alone: an empty list, or one holding the graph's min-fill order,
-    that lets a pinned search try a refutation in that order first;
-    without it, one is tried only when no static plan fits.
+    alone: the _MinFill slot its probes share, which lets a pinned
+    search try a refutation in the graph's min-fill order first, at the
+    hand-off or, once a probe of the call has handed off, at the first
+    wipeout; without it, one is tried only when no static plan fits.
     """
     pr = _params(params)
     if g.has_negative_loop:
@@ -754,7 +789,7 @@ def chi_c(
     t0 = time.monotonic()
     deadline = _Deadline(deadline_s)
     rejected: list[CliqueParams] = []
-    min_fill: list = []  # the probes' shared min-fill order, made on first need
+    min_fill = _MinFill()  # shared by this call's probes
     for cand in candidate_params(q_max, ceiling):
         hom = find_sp_hom(g, cand, deadline_s=deadline.left(), _min_fill=min_fill)
         if hom is not None:

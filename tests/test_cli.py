@@ -266,6 +266,19 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv", [("chi-c",), ("check-hom", "10", "3"), ("critical-check", "10", "3")]
     )
+    def test_nan_deadline(self, tmp_path, capsys, argv):
+        # NaN compares false with every time, so it would never expire.
+        path = write_graph(tmp_path, "k4.sg", build("K4_MINUS").graph)
+        self.assert_usage_error(capsys, argv[0], path, *argv[1:], "--deadline-s", "nan")
+
+    @pytest.mark.parametrize("seconds, code", [("inf", EXIT_OK), ("-1", EXIT_INCONCLUSIVE)])
+    def test_infinite_and_negative_deadlines(self, tmp_path, capsys, seconds, code):
+        path = write_graph(tmp_path, "k4.sg", build("K4_MINUS").graph)
+        assert run_cli(capsys, "chi-c", path, "--deadline-s", seconds)[0] == code
+
+    @pytest.mark.parametrize(
+        "argv", [("chi-c",), ("check-hom", "10", "3"), ("critical-check", "10", "3")]
+    )
     def test_negative_loop_is_usage_error(self, tmp_path, capsys, argv):
         path = write_graph(tmp_path, "loop.sg", make_graph(2, [(0, 1, NEG), (1, 1, NEG)]))
         code, out, err = run_cli(capsys, argv[0], path, *argv[1:])

@@ -905,7 +905,8 @@ def reference_chi_c(g, q_max=None):
 
 class TestChiCNarrowOrder:
     GRAPHS = {nm: build(nm).graph for nm in catalog_names()}
-    GRAPHS.update({f"negative_cycle({k})": negative_cycle(k) for k in range(2, 9)})
+    # Cycles of length 9 to 15 hand off; their last rejections have p <= 32.
+    GRAPHS.update({f"negative_cycle({k})": negative_cycle(k) for k in range(2, 16)})
 
     @pytest.mark.parametrize("q_max", [None, 10])
     def test_answers_match_static_order(self, monkeypatch, q_max):
@@ -927,9 +928,11 @@ class TestChiCNarrowOrder:
         for name, g in self.GRAPHS.items():
             res = chi_c(g, q_max)
             assert (res.value, res.params, res.witness, res.rejected) == want[name], name
-        # The order is made at most once per call; it proves seven of
-        # PETERSEN's rejections.
-        assert set(made.values()) == {1} and refuted["PETERSEN"] == 7, (made, refuted)
+        # The order is made at most once per call.  It proves nine of
+        # PETERSEN's rejections: the seven that reach node _CHECK_NODES,
+        # and 14/5 and 6/2, which follow the first of those, 22/8, and so
+        # ask it at their first wipeout.
+        assert set(made.values()) == {1} and refuted["PETERSEN"] == 9, (made, refuted)
 
     def test_campaigns_never_make_it(self, monkeypatch):
         from sgchrom.campaigns import run_campaign
@@ -965,7 +968,7 @@ class TestChiCNarrowOrder:
 
         monkeypatch.setattr(solver, "_narrow_refutes", refutes_spy)
         g = apply_indicator(hajos_graph(1))
-        assert find_sp_hom(g, CliqueParams(p, q), _min_fill=[]) is None
+        assert find_sp_hom(g, CliqueParams(p, q), _min_fill=solver._MinFill()) is None
         assert calls == [(True, True)]
 
     @pytest.mark.parametrize("p, q", [(32, 10), (22, 7)])
@@ -1002,3 +1005,103 @@ class TestChiCNarrowOrder:
         monkeypatch.setattr(solver, "_min_fill_order", lambda *args: pytest.fail("min-fill order made"))
         assert find_sp_hom(negative_complete(8), (14, 2)) is None
         assert calls == [(True, False)]
+
+
+def random_cubic(rng, n):
+    """A simple cubic graph on n vertices with random signs: three points
+    per vertex paired at random, drawn again until no pair is a loop or
+    repeats another."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = {tuple(sorted(points[i : i + 2])) for i in range(0, len(points), 2)}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            return make_graph(n, [(u, v, rng.choice((POS, NEG))) for u, v in sorted(pairs)])
+
+
+def seeded_cubic_graphs():
+    """20 random signings of Petersen, then ten random signed cubic graphs
+    on 10 vertices and ten on 12."""
+    petersen = build("PETERSEN").graph
+    graphs = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        if seed < 20:
+            graphs.append(make_graph(10, [(u, v, rng.choice((POS, NEG))) for (u, v, _) in petersen.edges]))
+        else:
+            graphs.append(random_cubic(rng, 10 if seed < 30 else 12))
+    return graphs
+
+
+class TestChiCHandOff:
+    """Once a probe of a chi_c call has reached the hand-off at node
+    _CHECK_NODES, the later probes of that call ask the min-fill
+    refutation at their first wipeout."""
+
+    PETERSEN = build("PETERSEN").graph
+
+    def refutations(self, monkeypatch):
+        """Records (p, refuted) for each _narrow_refutes call, and
+        "checkpoint" for each clock read of _search, which it makes every
+        _CHECK_NODES nodes (_message reads the clock too, once per chunk)."""
+        calls = []
+        real_refutes, real_check = solver._narrow_refutes, solver._Deadline.check_clock
+
+        def refutes_spy(order, tables, static, p, *rest):
+            found = real_refutes(order, tables, static, p, *rest)
+            calls.append((p, found))
+            return found
+
+        def check_spy(deadline):
+            if sys._getframe(1).f_code.co_name == "_search":
+                calls.append("checkpoint")
+            return real_check(deadline)
+
+        monkeypatch.setattr(solver, "_narrow_refutes", refutes_spy)
+        monkeypatch.setattr(solver._Deadline, "check_clock", check_spy)
+        return calls
+
+    def test_state_is_per_call(self, monkeypatch):
+        calls = self.refutations(monkeypatch)
+        chi_c(self.PETERSEN, 10)
+        first = list(calls)
+        calls.clear()
+        chi_c(self.PETERSEN, 10)
+        # 22/8 hands off; every later rejection is refuted at its first
+        # wipeout, and 20/6 = 10/3, colorable, asks once and goes on.
+        assert calls == first == [
+            "checkpoint", (22, True), (14, True), (20, True), (26, True), (6, True),
+            (28, True), (22, True), (16, True), (26, True), (10, False),
+        ]
+        monkeypatch.setattr(solver, "_min_fill_order", lambda *args: pytest.fail("min-fill order made"))
+        assert find_sp_hom(self.PETERSEN, CliqueParams(28, 9)) is None
+
+    def test_one_probe_reaches_the_checkpoint(self, monkeypatch):
+        # Before probes handed off on evidence, seven probes reached node
+        # _CHECK_NODES, one for each rejection the min-fill order proved;
+        # now only the first of them, 22/8, does.
+        calls = self.refutations(monkeypatch)
+        assert chi_c(self.PETERSEN, 10).value == Fraction(10, 3)
+        assert calls.count("checkpoint") == 1, calls
+
+    def test_matches_static_order_on_cubic_graphs(self, monkeypatch):
+        graphs = seeded_cubic_graphs()
+        want = [reference_chi_c(g, 10) for g in graphs]
+        early = [0] * len(graphs)  # refutations asked at a first wipeout
+        real_find = solver.find_sp_hom
+
+        def find_spy(*args, _min_fill=None, **kwargs):
+            after_hand_off = _min_fill is not None and _min_fill.handed_off
+            asked = len(calls)
+            hom = real_find(*args, _min_fill=_min_fill, **kwargs)
+            refutations = sum(call != "checkpoint" for call in calls[asked:])
+            assert refutations <= 1  # a failed refutation is not asked again
+            early[k] += after_hand_off and refutations
+            return hom
+
+        calls = self.refutations(monkeypatch)
+        monkeypatch.setattr(solver, "find_sp_hom", find_spy)
+        for k, g in enumerate(graphs):
+            res = chi_c(g, 10)
+            assert (res.value, res.params, res.witness, res.rejected) == want[k], k
+        assert sum(map(bool, early)) == 23, early
