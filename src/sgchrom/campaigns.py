@@ -20,6 +20,7 @@ rule changes which representatives come out or their order.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -236,13 +237,16 @@ def enumerate_signed(spec: EnumSpec) -> Iterator[SignedMultigraph]:
 
 
 def _pmap(fn, items, threads: int):
+    """``fn`` over ``items``, in order, on min(threads, items, CPUs)
+    worker processes; serially when that is 1."""
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(x) for x in items]
     from multiprocessing import Pool  # deferred: a serial run never loads it
 
-    with Pool(processes=threads) as pool:
-        return pool.map(fn, items, chunksize=max(1, len(items) // (threads * 4)))
+    with Pool(processes=workers) as pool:
+        return pool.map(fn, items, chunksize=max(1, len(items) // (workers * 4)))
 
 
 # -- campaigns ----------------------------------------------------------------
@@ -353,9 +357,7 @@ def _probe_brooks(g: SignedMultigraph) -> Optional[Fraction]:
 def campaign_brooks(n_max: int = 7, threads: int = 1) -> CampaignReport:
     """Connected simple subcubic signed graphs, except the all-negative
     K4 class, are (10, 3)-colorable; the classes attaining 10/3 exactly
-    (within denominator budget |V|) are recorded."""
-    if n_max > 8:
-        raise ValueError("brooks campaign capped at n_max = 8")
+    (within denominator budget |V|) are recorded; run_campaign caps n_max."""
     rep = CampaignReport("BROOKS")
     k4 = build("K4_MINUS").graph
     graphs = []

@@ -210,26 +210,27 @@ _EIGHT_CORE = [
 ]
 
 
-def _eight(idx: int, sx: int, sy: int, labels: dict[str, int]) -> NamedGraph:
+# Per variant: the signs of the x1-w2 and y1-w3 edges, and golden labels.
+_EIGHT_VARIANTS = {
+    1: (NEG, NEG, {"u": 1, "v": 4, "w1": -2, "w2": -3, "w3": -2, "w4": -3, "x1": 1, "y1": -5}),
+    2: (POS, POS, {"u": 1, "v": 4, "w1": 4, "w2": -3, "w3": -2, "w4": -2, "x1": -5, "y1": -4}),
+    3: (POS, NEG, {"u": 1, "v": 4, "w1": -2, "w2": 5, "w3": -2, "w4": -3, "x1": 3, "y1": -5}),
+    # Variant 4: w1 = -1; the label one step over fails the w1-y1 edge.
+    4: (NEG, POS, {"u": 1, "v": 4, "w1": -1, "w2": -3, "w3": -2, "w4": -2, "x1": 2, "y1": -4}),
+}
+
+
+def _eight(idx: int) -> NamedGraph:
+    sx, sy, labels = _EIGHT_VARIANTS[idx]
     edges = _EIGHT_CORE + [(6, 3, sx), (7, 4, sy)]
     return NamedGraph(
         f"EIGHT_V_{idx}",
         _graph(8, edges),
         "cubic 8-vertex graph: two adjacent degree-3 centers u,v whose "
         f"outer neighbors close up through x1,y1 (variant {idx})",
-        golden_labels=labels,
+        golden_labels=dict(labels),
         vertex_names=_EIGHT_NAMES,
     )
-
-
-def _eight_all() -> list[NamedGraph]:
-    return [
-        _eight(1, NEG, NEG, {"u": 1, "v": 4, "w1": -2, "w2": -3, "w3": -2, "w4": -3, "x1": 1, "y1": -5}),
-        _eight(2, POS, POS, {"u": 1, "v": 4, "w1": 4, "w2": -3, "w3": -2, "w4": -2, "x1": -5, "y1": -4}),
-        _eight(3, POS, NEG, {"u": 1, "v": 4, "w1": -2, "w2": 5, "w3": -2, "w4": -3, "x1": 3, "y1": -5}),
-        # Variant 4: w1 = -1; the label one step over fails the w1-y1 edge.
-        _eight(4, NEG, POS, {"u": 1, "v": 4, "w1": -1, "w2": -3, "w3": -2, "w4": -2, "x1": 2, "y1": -4}),
-    ]
 
 
 def _petersen() -> NamedGraph:
@@ -258,21 +259,21 @@ _CATALOG_BUILDERS = {
     "H4P": _h4p,
     "CUBE_NEG": _cube_neg,
     "PETERSEN": _petersen,
+    "EIGHT_V_1": lambda: _eight(1),
+    "EIGHT_V_2": lambda: _eight(2),
+    "EIGHT_V_3": lambda: _eight(3),
+    "EIGHT_V_4": lambda: _eight(4),
 }
 
 
 def names() -> list[str]:
-    return list(_CATALOG_BUILDERS) + [f"EIGHT_V_{i}" for i in (1, 2, 3, 4)]
+    return list(_CATALOG_BUILDERS)
 
 
 def build(name: str) -> NamedGraph:
     """Named graph by catalog identifier; raises KeyError for unknown names."""
     if name in _CATALOG_BUILDERS:
         return _CATALOG_BUILDERS[name]()
-    if name.startswith("EIGHT_V_"):
-        idx = int(name.rsplit("_", 1)[1])
-        if 1 <= idx <= 4:
-            return _eight_all()[idx - 1]
     raise KeyError(f"unknown catalog name {name!r}")
 
 

@@ -105,7 +105,7 @@ def main(argv=None) -> int:
         "lemma verifiers, and enumeration campaigns.",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--threads", type=int, default=1, help="worker parallelism; 1 = bit-identical reports")
+    parser.add_argument("--threads", type=int, default=1, metavar="N", help="min(N, cases, CPUs) campaign workers")
     sub = parser.add_subparsers(dest="command")
 
     p_chi = sub.add_parser("chi-c", help="exact circular chromatic number of a graph file ('-' = stdin)")

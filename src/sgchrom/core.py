@@ -370,17 +370,17 @@ def _embed(g: SignedMultigraph, h: SignedMultigraph) -> Optional[tuple[tuple[int
     switched and x unswitched (Brewster & Graves, *Edge-switching
     homomorphisms of edge-coloured graphs*, Discrete Math. 309, 2009); an
     embedding is one that is also injective on g's vertices.  That is a
-    coloring of h under binary constraints, found by the solver's FC-CBJ
-    loop: value 2x + s sends an h vertex to x, with x switched iff
-    s = 1.  An h pair with sign multiset A allows (x, s) beside (y, t)
-    when x, y is a pair of g, with multiset B, and s ^ t is in
-    _fits(A, B); every other h pair only needs x != y.  A vertex's domain
-    holds the x with at least its degree and room for its loops, which
-    switching keeps.  The order and its roots are _static_order's over
-    h's edges; complementing s across one component of h changes no
-    constraint, so each root is pinned unswitched.
+    coloring of h under binary constraints, the first one that the
+    solver's pinned FC-CBJ search (``solver._first``) finds: value 2x + s
+    sends an h vertex to x, with x switched iff s = 1.  An h pair with
+    sign multiset A allows (x, s) beside (y, t) when x, y is a pair of g,
+    with multiset B, and s ^ t is in _fits(A, B); every other h pair only
+    needs x != y.  A vertex's domain holds the x with at least its degree
+    and room for its loops, which switching keeps.  Complementing s
+    across one component of h changes no constraint, so each root of the
+    search is pinned unswitched.
     """
-    from .solver import _Deadline, _search, _static_order  # solver imports core
+    from .solver import _first  # solver imports core
 
     gp, gloops, gdeg = g.pair_signs(), g.loop_signs(), _degrees(g)
     hp, hloops, hdeg = h.pair_signs(), h.loop_signs(), _degrees(h)
@@ -408,16 +408,10 @@ def _embed(g: SignedMultigraph, h: SignedMultigraph) -> Optional[tuple[tuple[int
         return gdeg[x] >= hdeg[v] and (v not in hloops or 0 in _fits(hloops[v], gloops.get(x, ())))
 
     domains = [sum(3 << 2 * x for x in range(g.n) if room(v, x)) for v in range(h.n)]
-    order, roots = _static_order(h.edges, h.n)
-    for v in roots:
-        domains[v] &= full // 3  # the even values: x unswitched
-    sol = next(_search(order, domains, tables, _Deadline(None)), None)
-    if sol is None:
+    colors = _first(h.edges, h.n, domains, tables, full // 3)  # roots at even values: x unswitched
+    if colors is None:
         return None
-    phi = [0] * h.n
-    for v, c in zip(order, sol):
-        phi[v] = c >> 1
-    return tuple(phi), frozenset(c >> 1 for c in sol if c & 1)
+    return tuple(c >> 1 for c in colors), frozenset(c >> 1 for c in colors if c & 1)
 
 
 def _negative_triangle_counts(g: SignedMultigraph) -> list[int]:

@@ -2,30 +2,30 @@
 
 All search runs in one FC-CBJ loop, ``_search``: backtracking with
 forward checking and conflict-directed backjumping (Prosser 1993) along
-a static order.  Besides the colorings below, it finds the switching
-embeddings of ``core._embed``.  It is an iterative generator that keeps
-its state in per-depth lists, so graph size is not bounded by the
-recursion limit, and it yields every coloring in lexicographic order.
+a static order, an iterative generator with per-depth state (so no
+recursion limit) that yields every coloring in lexicographic order.
+Pinned searches (the colorings below, ``core._embed``'s switching
+embeddings) enter it through ``_first``: it reads the deadline, takes
+one static maximum-cardinality order of the whole graph, pins each
+component's root and lists the first coloring by vertex.  Backjumping
+never crosses components, so they need no set-up of their own.
 
-``find_sp_hom`` decides colorability exactly by taking the first
-coloring the loop yields along one static maximum-cardinality order of
-the whole graph, with each component's root pinned to color 0;
-backjumping never crosses components, so they need no set-up of their
-own.  At the 2,048th node, the first checkpoint, where it also reads
-the clock, the loop may return the answer of bucket elimination
-(Dechter 1999) in the reverse of the same order instead, provided that
-a forward check has wiped out a domain by then, no list domains are
-given, p <= 32, and the elimination's largest join grid has at most
-2**20 cells; otherwise FC-CBJ carries on.  (Probes of ``chi_c`` may
-stop earlier; see below.)  Each elimination function is
-stored once per rotation class: rotating every color is an automorphism
-of the clique, and only the roots are pinned, so a function is known
-from its values with its first argument at color 0.  That divides the
-work and the memory of elimination by p.  A join reads a function
-anchored at the grid's anchor as a broadcast view of its table, a
-single-vertex function as the table of its mask's p rotations, and any
-other by a per-chunk gather; each chunk is packed into message masks by
-one ``np.packbits`` call.
+``find_sp_hom`` decides colorability exactly by taking that first
+coloring with each root pinned to color 0.  At the 2,048th node, the
+first checkpoint, where it also reads the clock, the loop may return
+the answer of bucket elimination (Dechter 1999) in the reverse of the
+same order instead, provided that a forward check has wiped out a
+domain by then, no list domains are given, p <= 32, and the
+elimination's largest join grid has at most 2**20 cells; otherwise
+FC-CBJ carries on.  (Probes of ``chi_c`` may stop earlier; see below.)
+Each elimination function is stored once per rotation class: rotating
+every color is an automorphism of the clique, and only the roots are
+pinned, so a function is known from its values with its first argument
+at color 0.  That divides the work and the memory of elimination by p.
+A join reads a function anchored at the grid's anchor as a broadcast
+view of its table, a single-vertex function as the table of its mask's
+p rotations, and any other by a per-chunk gather; each chunk is packed
+into message masks by one ``np.packbits`` call.
 
 Both deciders return the same witness, the lexicographically first
 coloring in the static order with every root at color 0: forward
@@ -42,15 +42,16 @@ hand-off a probe of ``chi_c`` first eliminates in a greedy min-fill
 order (Bodlaender & Koster 2010), made once per call, when that order's
 largest scope is smaller than the static order's, or when only it fits
 the grid limit: on Petersen its grids have p**3 cells instead of p**4.
-Once one probe of the call has reached the hand-off, each later probe
-tries that refutation at its first wipeout instead of after 2,048 nodes
-of FC-CBJ, and, if it fails, hands off at node 2,048 to the static
-order alone.  Other pinned searches try that order only when the static
-one does not fit.  Elimination never reads the pinned domains and every
-function commutes with rotation in any order, so an empty message there
-is a complete proof of non-colorability.  A colorable answer is
-dropped and the probe goes on as any other, so back-substitution runs
-only in the static order and every witness stays the one above.
+Once one probe of the call has made that order at its hand-off, each
+later probe tries that refutation at its first wipeout instead of after
+2,048 nodes of FC-CBJ, and, if it fails, hands off at node 2,048 to
+the static order alone.  Other pinned searches try that order only
+when the static one does not fit.  Elimination never reads the pinned
+domains and every function commutes with rotation in any order, so an
+empty message there is a complete proof of non-colorability.  A
+colorable answer is dropped and the probe goes on as any other, so
+back-substitution runs only in the static order and every witness stays
+the one above.
 """
 
 from __future__ import annotations
@@ -240,11 +241,11 @@ def _search(order, domains, tables, deadline, elim_p=None, min_fill=None) -> Ite
     to color 0.  A search with no wipeout yet, such as on a long path,
     stays on FC-CBJ.
 
-    Once a probe of the same chi_c call has handed off
-    (``min_fill.handed_off``), the refutation is asked at the first
-    wipeout instead, as later probes are mostly rejections too.  If it
-    fails, the search goes on and hands off at node _CHECK_NODES in
-    ``order`` alone, without asking again.
+    Once a probe of the same chi_c call has made the min-fill order at
+    its hand-off (``min_fill.order`` is set), the refutation is asked at
+    the first wipeout instead, as later probes are mostly rejections
+    too.  If it fails, the search goes on and hands off at node
+    _CHECK_NODES in ``order`` alone, without asking again.
 
     ``tables`` covers exactly ``order``; ``domains`` is mutated.
     """
@@ -267,7 +268,7 @@ def _search(order, domains, tables, deadline, elim_p=None, min_fill=None) -> Ite
     nodes = 0
     next_check = _CHECK_NODES
     wiped = False
-    refute_early = elim_p is not None and min_fill is not None and min_fill.handed_off
+    refute_early = elim_p is not None and min_fill is not None and min_fill.order is not None
     static = None  # _plan's plan in ``order``, made when first needed
     i = 0
     untried[0] = domains[order[0]]
@@ -284,8 +285,6 @@ def _search(order, domains, tables, deadline, elim_p=None, min_fill=None) -> Ite
                 if elim_p is not None and wiped and nodes == _CHECK_NODES:
                     if not refute_early:
                         static = _plan(order, tables, elim_p)
-                        if min_fill is not None:
-                            min_fill.handed_off = True
                         if (min_fill is not None or static is None) and _narrow_refutes(
                             order, tables, static, elim_p, deadline, _MinFill() if min_fill is None else min_fill
                         ):
@@ -443,14 +442,13 @@ def _min_fill_order(order: Sequence[int], tables) -> list[int]:
 
 class _MinFill:
     """What the probes of one chi_c call share about their graph: its
-    min-fill order, made on first need, and whether a probe has reached
-    the node-_CHECK_NODES hand-off.  Plain searches get a fresh one."""
+    min-fill order, made at the first hand-off that needs it, after which
+    probes refute at their first wipeout.  Plain searches get a fresh one."""
 
-    __slots__ = ("order", "handed_off")
+    __slots__ = ("order",)
 
     def __init__(self):
         self.order: Optional[list[int]] = None
-        self.handed_off = False
 
 
 def _narrow_refutes(order, tables, static, p: int, deadline: _Deadline, slot: _MinFill) -> bool:
@@ -464,8 +462,8 @@ def _narrow_refutes(order, tables, static, p: int, deadline: _Deadline, slot: _M
     is not.  An answer of "colorable" says nothing here: the caller goes
     on as if this had not run, so the witness stays the static order's.
     chi_c asks once per probe, its probes being mostly rejections: at
-    the hand-off until one of its probes has handed off, then at each
-    later probe's first wipeout.  Other searches ask only at the
+    the hand-off until one of its probes has made ``slot.order``, then
+    at each later probe's first wipeout.  Other searches ask only at the
     hand-off and when the static plan is too large, as a colorable
     probe pays for this pass and then the static one (asked at every
     pinned hand-off, the gadget benchmark's mean pass took 28 % longer).
@@ -631,6 +629,20 @@ def _message(bucket, scope: Sequence[int], p: int, full: int, deadline: _Deadlin
     return out.view("<u4").reshape(-1).astype(np.uint32, copy=False)
 
 
+def _first(edges, n: int, domains, tables, pin: int, deadline=None, elim_p=None, min_fill=None) -> Optional[list[int]]:
+    """The first coloring _search yields for the graph on 0..n-1 with
+    ``edges`` along _static_order's order, each root's domain cut to the
+    mask ``pin``, listed by vertex; None when there is none.  ``deadline``
+    (seconds, or None) is read once first; ``domains`` is mutated."""
+    clock = _Deadline(deadline)
+    clock.left()
+    order, roots = _static_order(edges, n)
+    for v in roots:
+        domains[v] &= pin
+    sol = next(_search(order, domains, tables, clock, elim_p, min_fill), None)
+    return None if sol is None else [c for _, c in sorted(zip(order, sol))]
+
+
 def find_sp_hom(
     g: SignedMultigraph,
     params,
@@ -643,39 +655,29 @@ def find_sp_hom(
 
     The search is complete: a None answer is a proof of non-colorability.
     ``domains`` optionally restricts each vertex to a bitmask of allowed
-    colors (used by list coloring).  Without that restriction the root of
-    every connected component, its first vertex in the static order, is
-    pinned to color 0, which is sound because the clique is
-    vertex-transitive under color rotation.  ``_min_fill`` is chi_c's
-    alone: the _MinFill slot its probes share, which lets a pinned
-    search try a refutation in the graph's min-fill order first, at the
-    hand-off or, once a probe of the call has handed off, at the first
-    wipeout; without it, one is tried only when no static plan fits.
+    colors (used by list coloring).  Without that restriction _first pins
+    the root of every connected component to color 0, which is sound
+    because the clique is vertex-transitive under color rotation.  A
+    ``deadline_s`` that has already passed raises at once.  ``_min_fill``
+    is chi_c's alone: the _MinFill slot its probes share, which lets a
+    pinned search try a refutation in the graph's min-fill order first,
+    at the hand-off or, once a probe of the call has made that order, at
+    the first wipeout; without it, one is tried only when no static plan
+    fits.
     """
     pr = _params(params)
     if g.has_negative_loop:
         raise NegativeLoopError("graph has a negative loop; no circular coloring exists")
     full = (1 << pr.p) - 1
     if domains is None:
-        doms = [full] * g.n
-        pin = True
+        doms, pin = [full] * g.n, 1  # roots at color 0 only; rotation symmetry
     else:
         if len(domains) != g.n:
             raise ValueError("need one domain mask per vertex")
-        doms = [int(d) & full for d in domains]
-        pin = False
-    order, roots = _static_order(g.edges, g.n)
-    if pin:
-        for v in roots:
-            doms[v] = 1  # color 0 only; rotation symmetry
-    elim_p = pr.p if pin and pr.p <= _MAX_ELIMINATION_P else None
-    sol = next(_search(order, doms, _pair_tables(g, pr), _Deadline(deadline_s), elim_p, _min_fill), None)
-    if sol is None:
-        return None
-    result = [0] * g.n
-    for v, c in zip(order, sol):
-        result[v] = c
-    return Homomorphism(pr, tuple(result))
+        doms, pin = [int(d) & full for d in domains], full
+    elim_p = pr.p if domains is None and pr.p <= _MAX_ELIMINATION_P else None
+    colors = _first(g.edges, g.n, doms, _pair_tables(g, pr), pin, deadline_s, elim_p, _min_fill)
+    return None if colors is None else Homomorphism(pr, tuple(colors))
 
 
 def is_colorable(g: SignedMultigraph, params, *, deadline_s: Optional[float] = None) -> bool:

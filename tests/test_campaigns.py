@@ -459,8 +459,9 @@ class TestBrooks:
         assert rep.extra["attains_10_3"] == []
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            campaign_brooks(9)
+        # The one cap is the registry's bound, which run_campaign reads.
+        with pytest.raises(ValueError, match="n_max 1..8"):
+            run_campaign("BROOKS", n_max=9)
 
     def test_uncolorable_class_is_a_failure(self, monkeypatch):
         # chi_c raises CeilingExhausted on a graph with no fraction up to
@@ -505,3 +506,39 @@ class TestRunner:
         parallel = campaign_small_3colorable(threads=2)
         assert serial.cases_checked == parallel.cases_checked
         assert serial.failures == parallel.failures
+
+    @pytest.mark.parametrize(
+        "threads, items, cpus, workers",
+        [
+            (10**6, 10, 4, 4),  # capped by the CPUs
+            (10**6, 3, 4, 3),  # by the items
+            (3, 10, 4, 3),  # by threads
+            (10**6, 1, 4, None),  # one item: serial
+            (10**6, 10, None, None),  # CPU count unknown: serial
+            (2, 10, 1, None),  # one CPU: serial
+        ],
+    )
+    def test_workers_capped_by_items_and_cpus(self, monkeypatch, threads, items, cpus, workers):
+        # A fake Pool records its size and maps serially: no process starts.
+        import multiprocessing
+        import os
+
+        made = []
+
+        class FakePool:
+            def __init__(self, processes):
+                made.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, xs, chunksize=1):
+                return [fn(x) for x in xs]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert campaigns._pmap(abs, range(-items, 0), threads) == list(range(items, 0, -1))
+        assert made == ([] if workers is None else [workers])

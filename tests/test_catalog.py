@@ -129,6 +129,12 @@ class TestBuild:
         with pytest.raises(KeyError):
             build("NOPE")
 
+    @pytest.mark.parametrize("name", ["EIGHT_V_x", "EIGHT_V_5"])
+    def test_unknown_eight_vertex_variant(self, name):
+        # Not an int() error for a bad suffix, nor a build for a fifth variant.
+        with pytest.raises(KeyError, match="unknown catalog name"):
+            build(name)
+
     def test_names_all_buildable(self):
         assert len(names()) == 16
         for name in names():

@@ -272,9 +272,14 @@ class TestUsage:
         self.assert_usage_error(capsys, argv[0], path, *argv[1:], "--deadline-s", "nan")
 
     @pytest.mark.parametrize("seconds, code", [("inf", EXIT_OK), ("-1", EXIT_INCONCLUSIVE)])
-    def test_infinite_and_negative_deadlines(self, tmp_path, capsys, seconds, code):
+    @pytest.mark.parametrize(
+        "argv", [("chi-c",), ("check-hom", "10", "3"), ("critical-check", "10", "3")], ids=lambda argv: argv[0]
+    )
+    def test_infinite_and_negative_deadlines(self, tmp_path, capsys, argv, seconds, code):
+        # A deadline that has already passed stops every command before it
+        # searches, even one whose search never reaches a checkpoint.
         path = write_graph(tmp_path, "k4.sg", build("K4_MINUS").graph)
-        assert run_cli(capsys, "chi-c", path, "--deadline-s", seconds)[0] == code
+        assert run_cli(capsys, argv[0], path, *argv[1:], "--deadline-s", seconds)[0] == code
 
     @pytest.mark.parametrize(
         "argv", [("chi-c",), ("check-hom", "10", "3"), ("critical-check", "10", "3")]

@@ -479,6 +479,17 @@ class TestComponentSetUp:
         with pytest.raises(SearchDeadlineExceeded):
             find_sp_hom(MATCHING, P103, deadline_s=1e-9)
 
+    def test_passed_deadline_fires_before_any_node(self, monkeypatch):
+        # T's search ends long before the first checkpoint, so only the read
+        # on entry can stop it; without a deadline the clock is never read,
+        # neither there nor at the checkpoint and in elimination (28/9).
+        t = build("T").graph
+        with pytest.raises(SearchDeadlineExceeded):
+            find_sp_hom(t, P103, deadline_s=-1)
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: pytest.fail("clock read")))
+        assert find_sp_hom(t, P103, deadline_s=None) is not None
+        assert find_sp_hom(build("PETERSEN").graph, CliqueParams(28, 9)) is None
+
     @pytest.mark.parametrize("g", [MATCHING, TestLongPath.PATH], ids=["matching", "path"])
     def test_no_wipeout_stays_on_fc_cbj(self, monkeypatch, g):
         # Both pass the first checkpoint without a wipeout, so they are
@@ -1091,7 +1102,7 @@ class TestChiCHandOff:
         real_find = solver.find_sp_hom
 
         def find_spy(*args, _min_fill=None, **kwargs):
-            after_hand_off = _min_fill is not None and _min_fill.handed_off
+            after_hand_off = _min_fill is not None and _min_fill.order is not None
             asked = len(calls)
             hom = real_find(*args, _min_fill=_min_fill, **kwargs)
             refutations = sum(call != "checkpoint" for call in calls[asked:])
