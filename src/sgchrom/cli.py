@@ -156,7 +156,8 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except (GraphError, KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchDeadlineExceeded:
         _emit({"status": "inconclusive", "reason": "deadline"}, args.format)

@@ -3,7 +3,8 @@
 All search runs in one FC-CBJ loop, ``_search``: backtracking with
 forward checking and conflict-directed backjumping (Prosser 1993) along
 a static order, an iterative generator with per-depth state (so no
-recursion limit) that yields every coloring in lexicographic order.
+recursion limit) that yields every coloring in lexicographic order; its
+pruning and conflict sets are bitmasks over depths.
 Pinned searches (the colorings below, ``core._embed``'s switching
 embeddings) enter it through ``_first``: it reads the deadline, takes
 one static maximum-cardinality order of the whole graph, pins each
@@ -37,16 +38,19 @@ same loop to the end in vertex order, without pinning.
 ``chi_c`` walks candidate fractions p/q in strictly increasing order
 and returns the first colorable one together with a witness and the
 list of rejected fractions, so the answer is the minimum within the
-denominator budget.  Most of its probes are rejections, so at the
-hand-off a probe of ``chi_c`` first eliminates in a greedy min-fill
-order (Bodlaender & Koster 2010), made once per call, when that order's
-largest scope is smaller than the static order's, or when only it fits
-the grid limit: on Petersen its grids have p**3 cells instead of p**4.
-Once one probe of the call has made that order at its hand-off, each
-later probe tries that refutation at its first wipeout instead of after
-2,048 nodes of FC-CBJ, and, if it fails, hands off at node 2,048 to
-the static order alone.  Other pinned searches try that order only
-when the static one does not fit.  Elimination never reads the pinned
+denominator budget.  Its probes all ask about one graph, so they share
+a ``_CallState``: one static order, and one budget of 2,048 FC-CBJ
+nodes before the hand-off, spent across the probes, so the probe in
+which the call's total reaches it hands off there.  Most probes are
+rejections, so at the hand-off a probe of ``chi_c`` first eliminates in
+a greedy min-fill order (Bodlaender & Koster 2010), made once per call,
+when that order's largest scope is smaller than the static order's, or
+when only it fits the grid limit: on Petersen its grids have p**3 cells
+instead of p**4.  Once one probe of the call has made that order at its
+hand-off, each later probe tries that refutation at its first dead end
+instead, and, if it fails, hands off to the static order alone at its
+own 2,048th node.  Other pinned searches try that order only when the
+static one does not fit.  Elimination never reads the pinned
 domains and every function commutes with rotation in any order, so an
 empty message there is a complete proof of non-colorability.  A
 colorable answer is dropped and the probe goes on as any other, so
@@ -116,8 +120,9 @@ def verify_hom(g: SignedMultigraph, h: Homomorphism) -> bool:
     return True
 
 
-# FC-CBJ reads the clock every _CHECK_NODES nodes of its search; at the
-# first such checkpoint the search may switch to elimination.
+# FC-CBJ reads the clock at least every _CHECK_NODES nodes of its search;
+# at its first checkpoint (for chi_c's probes, when the call's total
+# reaches _CHECK_NODES) the search may switch to elimination.
 _CHECK_NODES = 2048
 
 
@@ -209,7 +214,7 @@ def _static_order(edges, n: int) -> tuple[list[int], list[int]]:
     return order, roots
 
 
-def _search(order, domains, tables, deadline, elim_p=None, min_fill=None) -> Iterator[Sequence[int]]:
+def _search(order, domains, tables, deadline, elim_p=None, state=None) -> Iterator[Sequence[int]]:
     """Forward checking with conflict-directed backjumping (FC-CBJ).
 
     Yields every coloring of ``order`` (colors listed in that order), in
@@ -229,25 +234,33 @@ def _search(order, domains, tables, deadline, elim_p=None, min_fill=None) -> Ite
     Conflicts are charged only between neighbors, so they never leave a
     component, and an exhausted root ends the search.
 
-    The search state lives in per-depth lists, not on the call stack.
-    Every _CHECK_NODES nodes it reads the clock.  At the first such
+    The search state lives in per-depth lists, not on the call stack:
+    domains and their trails are read and written by depth, and the
+    pruning and conflict sets are bitmasks over depths.  Every
+    _CHECK_NODES nodes it reads the clock.  At the first such
     checkpoint, when ``elim_p`` (the clique's p) is given and a forward
-    check has wiped out a domain, the search hands off.  When
-    ``min_fill`` is given too (chi_c's _MinFill slot) or no elimination
-    in ``order`` fits, it first stops, with no coloring, if the min-fill
-    order refutes the graph (_narrow_refutes).  Then, if _plan finds a
-    small enough elimination in ``order``, it yields _eliminate's
-    coloring, if there is one, and stops; that needs every root pinned
-    to color 0.  A search with no wipeout yet, such as on a long path,
-    stays on FC-CBJ.
+    check has wiped out a domain, the search hands off.  When ``state``
+    is given too (chi_c's _CallState) or no elimination in ``order``
+    fits, it first stops, with no coloring, if the min-fill order
+    refutes the graph (_narrow_refutes).  Then, if _plan finds a small
+    enough elimination in ``order``, it yields _eliminate's coloring, if
+    there is one, and stops; that needs every root pinned to color 0.  A
+    search with no wipeout yet, such as on a long path, stays on FC-CBJ.
 
-    Once a probe of the same chi_c call has made the min-fill order at
-    its hand-off (``min_fill.order`` is set), the refutation is asked at
-    the first wipeout instead, as later probes are mostly rejections
-    too.  If it fails, the search goes on and hands off at node
-    _CHECK_NODES in ``order`` alone, without asking again.
+    The probes of one chi_c call share one budget of _CHECK_NODES nodes
+    in ``state.nodes``: a probe's first checkpoint comes when the call's
+    total reaches it, and a probe that passes a first checkpoint without
+    a wipeout hands off at its first wipeout after it.  A probe that
+    starts with the budget spent hands off at its first wipeout if no
+    min-fill order has been made yet.  Once one has, the refutation is
+    asked at the probe's first dead end (a depth whose domain is
+    exhausted) instead, as later probes are mostly rejections too, and
+    the probe hands off to ``order`` alone at its own node _CHECK_NODES.
+    Either way no probe hands off later than with a budget of its own,
+    it asks for the refutation at most once, and its clock is read at
+    least every _CHECK_NODES of its nodes.
 
-    ``tables`` covers exactly ``order``; ``domains`` is mutated.
+    ``tables`` covers exactly ``order``; ``domains`` is read once.
     """
     n = len(order)
     if not n:
@@ -258,86 +271,109 @@ def _search(order, domains, tables, deadline, elim_p=None, min_fill=None) -> Ite
     for (a, b), tab in tables.items():
         i, j = pos[a], pos[b]
         if i < j:
-            later[i].append((j, b, tab))
+            later[i].append((j, tab))
+    dom = [domains[v] for v in order]
     assignment = [-1] * n
     untried = [0] * n  # colors of order[i] still to try at depth i
     trails: list[list] = [[] for _ in range(n)]  # domains depth i narrowed
-    # past_fc[j]: depths whose assignments pruned order[j]'s domain.
-    past_fc: list[set[int]] = [set() for _ in range(n)]
-    conf_set: list[set[int]] = [set() for _ in range(n)]
+    # past_fc[j]: bitmask of the depths whose assignments pruned depth j's domain.
+    past_fc = [0] * n
+    conf_set = [0] * n
     nodes = 0
     next_check = _CHECK_NODES
-    wiped = False
-    refute_early = elim_p is not None and min_fill is not None and min_fill.order is not None
-    static = None  # _plan's plan in ``order``, made when first needed
-    i = 0
-    untried[0] = domains[order[0]]
-    while True:
-        dom = untried[i]
-        while dom:
-            bit = dom & -dom
-            dom ^= bit
-            c = bit.bit_length() - 1
-            nodes += 1
-            if nodes == next_check:
-                next_check += _CHECK_NODES
-                deadline.check_clock()
-                if elim_p is not None and wiped and nodes == _CHECK_NODES:
-                    if not refute_early:
-                        static = _plan(order, tables, elim_p)
-                        if (min_fill is not None or static is None) and _narrow_refutes(
-                            order, tables, static, elim_p, deadline, _MinFill() if min_fill is None else min_fill
-                        ):
-                            return
-                    if static is not None:
-                        sol = _eliminate(order, tables, static, elim_p, deadline)
-                        if sol is not None:
-                            yield sol
-                        return
-            trail = trails[i] = []
-            for (j, w, tab) in later[i]:
-                old = domains[w]
-                new = old & tab[c]
-                if new != old:
-                    trail.append((j, w, old))
-                    domains[w] = new
-                    past_fc[j].add(i)
-                    if new == 0:
-                        if refute_early and not wiped:
-                            static = _plan(order, tables, elim_p)
-                            if _narrow_refutes(order, tables, static, elim_p, deadline, min_fill):
-                                return
-                        wiped = True
-                        conf_set[i] |= past_fc[j] - {i}
-                        break
-            else:  # no wipeout
-                assignment[i] = c
-                if i + 1 < n:  # descend; this depth resumes from untried[i]
-                    untried[i] = dom
-                    i += 1
-                    untried[i] = domains[order[i]]
-                    break
-                yield tuple(assignment)
-                conf_set[i] = set(range(i))
-            for (j, w, old) in trail:
-                domains[w] = old
-                past_fc[j].discard(i)
+    due = elim_p is not None  # hand off at a checkpoint once a domain was wiped out
+    late = False  # hand off at the first wipeout: it makes the next node a checkpoint
+    ask = asked = False  # ask the refutation at the first dead end; it has been asked
+    if due and state is not None:
+        if state.nodes < _CHECK_NODES:
+            next_check -= state.nodes
+        elif state.min_fill is None:
+            late = True
         else:
-            # Domain exhausted: jump to the deepest depth that constrained
-            # us, undoing the depths in between and resetting their state.
-            conflicts = conf_set[i] | past_fc[i]
-            conf_set[i] = set()
-            if not conflicts:
-                return
-            target = max(conflicts)
-            while i > target:
-                i -= 1
-                for (j, w, old) in trails[i]:
-                    domains[w] = old
-                    past_fc[j].discard(i)
-                if i > target:
-                    conf_set[i] = set()
-            conf_set[target] |= conflicts - {target}
+            ask = True
+    wiped = False
+    i = 0
+    untried[0] = dom[0]
+    try:
+        while True:
+            d = untried[i]
+            me = 1 << i
+            while d:
+                bit = d & -d
+                d ^= bit
+                c = bit.bit_length() - 1
+                nodes += 1
+                if nodes == next_check:
+                    next_check = nodes + _CHECK_NODES
+                    deadline.check_clock()
+                    if due:
+                        if wiped:
+                            due = late = False
+                            static = _plan(order, tables, elim_p)
+                            if not asked and (state is not None or static is None):
+                                asked = True
+                                if _narrow_refutes(order, tables, static, elim_p, deadline, state or _CallState()):
+                                    return
+                            if static is not None:
+                                sol = _eliminate(order, tables, static, elim_p, deadline)
+                                if sol is not None:
+                                    yield sol
+                                return
+                        elif state is not None:
+                            late = True
+                        else:
+                            due = False
+                trail = trails[i] = []
+                for (j, tab) in later[i]:
+                    old = dom[j]
+                    new = old & tab[c]
+                    if new != old:
+                        trail.append((j, old))
+                        dom[j] = new
+                        past_fc[j] |= me
+                        if new == 0:
+                            if late:
+                                late = False
+                                next_check = nodes + 1
+                            wiped = True
+                            conf_set[i] |= past_fc[j] ^ me
+                            break
+                else:  # no wipeout
+                    assignment[i] = c
+                    if i + 1 < n:  # descend; this depth resumes from untried[i]
+                        untried[i] = d
+                        i += 1
+                        untried[i] = dom[i]
+                        break
+                    yield tuple(assignment)
+                    conf_set[i] = (1 << i) - 1
+                for (j, old) in trail:
+                    dom[j] = old
+                    past_fc[j] ^= me
+            else:
+                # Domain exhausted: jump to the deepest depth that constrained
+                # us, undoing the depths in between and resetting their state.
+                conflicts = conf_set[i] | past_fc[i]
+                conf_set[i] = 0
+                if not conflicts:
+                    return
+                if ask:
+                    ask, asked = False, True
+                    if _narrow_refutes(order, tables, _plan(order, tables, elim_p), elim_p, deadline, state):
+                        return
+                target = conflicts.bit_length() - 1
+                while i > target:
+                    i -= 1
+                    me = 1 << i
+                    for (j, old) in trails[i]:
+                        dom[j] = old
+                        past_fc[j] ^= me
+                    if i > target:
+                        conf_set[i] = 0
+                conf_set[target] |= conflicts ^ (1 << target)
+    finally:
+        if state is not None:
+            state.nodes += nodes
 
 
 # -- bucket elimination ----------------------------------------------------
@@ -440,45 +476,50 @@ def _min_fill_order(order: Sequence[int], tables) -> list[int]:
     return eliminated[::-1]
 
 
-class _MinFill:
-    """What the probes of one chi_c call share about their graph: its
-    min-fill order, made at the first hand-off that needs it, after which
-    probes refute at their first wipeout.  Plain searches get a fresh one."""
+class _CallState:
+    """What the probes of one chi_c call share about their one graph: its
+    static order and roots, the FC-CBJ nodes they have spent, and its
+    min-fill order, made at the first hand-off that needs it.  Plain
+    searches get none, or a fresh one at the hand-off."""
 
-    __slots__ = ("order",)
+    __slots__ = ("order", "roots", "nodes", "min_fill")
 
     def __init__(self):
         self.order: Optional[list[int]] = None
+        self.roots: list[int] = []
+        self.nodes = 0
+        self.min_fill: Optional[list[int]] = None
 
 
-def _narrow_refutes(order, tables, static, p: int, deadline: _Deadline, slot: _MinFill) -> bool:
+def _narrow_refutes(order, tables, static, p: int, deadline: _Deadline, state: _CallState) -> bool:
     """True when bucket elimination in the graph's min-fill order proves
     that it has no coloring; ``static`` is _plan's plan in ``order``, and
-    ``slot.order`` holds the min-fill order once made (chi_c's probes all
-    ask about one graph, so they share it).
+    ``state.min_fill`` holds the min-fill order once made (chi_c's probes
+    all ask about one graph, so they share it).
 
     Tried only when the min-fill plan's largest scope is smaller than the
     static plan's, or the static plan is too large and the min-fill one
     is not.  An answer of "colorable" says nothing here: the caller goes
     on as if this had not run, so the witness stays the static order's.
     chi_c asks once per probe, its probes being mostly rejections: at
-    the hand-off until one of its probes has made ``slot.order``, then
-    at each later probe's first wipeout.  Other searches ask only at the
-    hand-off and when the static plan is too large, as a colorable
-    probe pays for this pass and then the static one (asked at every
-    pinned hand-off, the gadget benchmark's mean pass took 28 % longer).
-    No plan fits if p ** (d - 1) > _MAX_GRID_CELLS at the least degree d:
-    any order's first elimination joins a vertex with all its neighbors.
+    the hand-off until one of its probes has made ``state.min_fill``,
+    then at each later probe's first dead end, which a colorable probe
+    often never meets.  Other searches ask only at the hand-off and when
+    the static plan is too large, as a colorable probe pays for this
+    pass and then the static one (asked at every pinned hand-off, the
+    gadget benchmark's mean pass took 28 % longer).  No plan fits if
+    p ** (d - 1) > _MAX_GRID_CELLS at the least degree d: any order's
+    first elimination joins a vertex with all its neighbors.
     """
     degree = Counter(a for (a, _) in tables)
     if degree and p ** (min(degree.values()) - 1) > _MAX_GRID_CELLS:
         return False
-    if slot.order is None:
-        slot.order = _min_fill_order(order, tables)
-    parents = _plan(slot.order, tables, p)
+    if state.min_fill is None:
+        state.min_fill = _min_fill_order(order, tables)
+    parents = _plan(state.min_fill, tables, p)
     if parents is None or (static is not None and max(map(len, parents)) >= max(map(len, static))):
         return False
-    return _send_messages(slot.order, tables, parents, p, deadline) is None
+    return _send_messages(state.min_fill, tables, parents, p, deadline) is None
 
 
 def _send_messages(order, tables, parents, p: int, deadline: _Deadline) -> Optional[list[list]]:
@@ -629,17 +670,25 @@ def _message(bucket, scope: Sequence[int], p: int, full: int, deadline: _Deadlin
     return out.view("<u4").reshape(-1).astype(np.uint32, copy=False)
 
 
-def _first(edges, n: int, domains, tables, pin: int, deadline=None, elim_p=None, min_fill=None) -> Optional[list[int]]:
+def _first(edges, n: int, domains, tables, pin: int, deadline=None, elim_p=None, state=None) -> Optional[list[int]]:
     """The first coloring _search yields for the graph on 0..n-1 with
     ``edges`` along _static_order's order, each root's domain cut to the
     mask ``pin``, listed by vertex; None when there is none.  ``deadline``
-    (seconds, or None) is read once first; ``domains`` is mutated."""
+    (seconds, or None) is read once first; ``domains`` is mutated.  A
+    ``state`` (chi_c's) keeps the order and roots for its later probes."""
     clock = _Deadline(deadline)
     clock.left()
-    order, roots = _static_order(edges, n)
+    if state is None:
+        order, roots = _static_order(edges, n)
+    else:
+        if state.order is None:
+            state.order, state.roots = _static_order(edges, n)
+        order, roots = state.order, state.roots
     for v in roots:
         domains[v] &= pin
-    sol = next(_search(order, domains, tables, clock, elim_p, min_fill), None)
+    search = _search(order, domains, tables, clock, elim_p, state)
+    sol = next(search, None)
+    search.close()  # counts its nodes into ``state``
     return None if sol is None else [c for _, c in sorted(zip(order, sol))]
 
 
@@ -649,7 +698,7 @@ def find_sp_hom(
     *,
     domains: Optional[Sequence[int]] = None,
     deadline_s: Optional[float] = None,
-    _min_fill: Optional[_MinFill] = None,
+    _state: Optional[_CallState] = None,
 ) -> Optional[Homomorphism]:
     """Find one edge-sign-preserving homomorphism into the clique, or None.
 
@@ -658,11 +707,12 @@ def find_sp_hom(
     colors (used by list coloring).  Without that restriction _first pins
     the root of every connected component to color 0, which is sound
     because the clique is vertex-transitive under color rotation.  A
-    ``deadline_s`` that has already passed raises at once.  ``_min_fill``
-    is chi_c's alone: the _MinFill slot its probes share, which lets a
-    pinned search try a refutation in the graph's min-fill order first,
-    at the hand-off or, once a probe of the call has made that order, at
-    the first wipeout; without it, one is tried only when no static plan
+    ``deadline_s`` that has already passed raises at once.  ``_state``
+    is chi_c's alone: the _CallState its probes share, which gives them
+    one static order, one node budget before the hand-off, and a
+    refutation in the graph's min-fill order, tried first at the
+    hand-off or, once a probe of the call has made that order, at the
+    first dead end; without it, one is tried only when no static plan
     fits.
     """
     pr = _params(params)
@@ -676,7 +726,7 @@ def find_sp_hom(
             raise ValueError("need one domain mask per vertex")
         doms, pin = [int(d) & full for d in domains], full
     elim_p = pr.p if domains is None and pr.p <= _MAX_ELIMINATION_P else None
-    colors = _first(g.edges, g.n, doms, _pair_tables(g, pr), pin, deadline_s, elim_p, _min_fill)
+    colors = _first(g.edges, g.n, doms, _pair_tables(g, pr), pin, deadline_s, elim_p, _state)
     return None if colors is None else Homomorphism(pr, tuple(colors))
 
 
@@ -791,9 +841,9 @@ def chi_c(
     t0 = time.monotonic()
     deadline = _Deadline(deadline_s)
     rejected: list[CliqueParams] = []
-    min_fill = _MinFill()  # shared by this call's probes
+    state = _CallState()  # shared by this call's probes
     for cand in candidate_params(q_max, ceiling):
-        hom = find_sp_hom(g, cand, deadline_s=deadline.left(), _min_fill=min_fill)
+        hom = find_sp_hom(g, cand, deadline_s=deadline.left(), _state=state)
         if hom is not None:
             return ChiCResult(
                 value=Fraction(cand.p, cand.q),

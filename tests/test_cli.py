@@ -110,8 +110,9 @@ class TestCatalog:
         assert run_cli(capsys, "emit", "T") == run_cli(capsys, "catalog", "emit", "T")
 
     def test_unknown_name_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "emit", "NOPE")
+        code, out, err = run_cli(capsys, "emit", "NOPE")
         assert code == EXIT_USAGE
+        assert (out, err) == ("", "error: unknown catalog name 'NOPE'\n")
 
 
 class TestLemmaAndCampaign:

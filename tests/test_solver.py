@@ -776,6 +776,166 @@ def test_elimination_witness_is_fc_cbj_witness(g, pq):
         assert verify_hom(g, be)
 
 
+def reference_search(order, domains, tables, deadline, elim_p=None):
+    """The FC-CBJ loop before its bookkeeping became bitmasks, plain
+    callers' path only: pruning and conflict sets are Python sets of
+    depths, domains are read and written by vertex, and the hand-off
+    comes at node _CHECK_NODES, once a forward check has wiped out a
+    domain."""
+    n = len(order)
+    if not n:
+        yield ()
+        return
+    pos = {v: i for i, v in enumerate(order)}
+    later = [[] for _ in range(n)]
+    for (a, b), tab in tables.items():
+        i, j = pos[a], pos[b]
+        if i < j:
+            later[i].append((j, b, tab))
+    assignment = [-1] * n
+    untried = [0] * n
+    trails = [[] for _ in range(n)]
+    past_fc = [set() for _ in range(n)]
+    conf_set = [set() for _ in range(n)]
+    nodes = 0
+    next_check = solver._CHECK_NODES
+    wiped = False
+    i = 0
+    untried[0] = domains[order[0]]
+    while True:
+        dom = untried[i]
+        while dom:
+            bit = dom & -dom
+            dom ^= bit
+            c = bit.bit_length() - 1
+            nodes += 1
+            if nodes == next_check:
+                next_check += solver._CHECK_NODES
+                deadline.check_clock()
+                if elim_p is not None and wiped and nodes == solver._CHECK_NODES:
+                    static = solver._plan(order, tables, elim_p)
+                    if static is None and solver._narrow_refutes(
+                        order, tables, static, elim_p, deadline, solver._CallState()
+                    ):
+                        return
+                    if static is not None:
+                        sol = solver._eliminate(order, tables, static, elim_p, deadline)
+                        if sol is not None:
+                            yield sol
+                        return
+            trail = trails[i] = []
+            for (j, w, tab) in later[i]:
+                old = domains[w]
+                new = old & tab[c]
+                if new != old:
+                    trail.append((j, w, old))
+                    domains[w] = new
+                    past_fc[j].add(i)
+                    if new == 0:
+                        wiped = True
+                        conf_set[i] |= past_fc[j] - {i}
+                        break
+            else:
+                assignment[i] = c
+                if i + 1 < n:
+                    untried[i] = dom
+                    i += 1
+                    untried[i] = domains[order[i]]
+                    break
+                yield tuple(assignment)
+                conf_set[i] = set(range(i))
+            for (j, w, old) in trail:
+                domains[w] = old
+                past_fc[j].discard(i)
+        else:
+            conflicts = conf_set[i] | past_fc[i]
+            conf_set[i] = set()
+            if not conflicts:
+                return
+            target = max(conflicts)
+            while i > target:
+                i -= 1
+                for (j, w, old) in trails[i]:
+                    domains[w] = old
+                    past_fc[j].discard(i)
+                if i > target:
+                    conf_set[i] = set()
+            conf_set[target] |= conflicts - {target}
+
+
+class CountingDeadline(solver._Deadline):
+    """No limit; counts its clock reads."""
+
+    def __init__(self):
+        super().__init__(None)
+        self.reads = 0
+
+    def check_clock(self):
+        self.reads += 1
+
+
+@st.composite
+def small_multigraphs(draw, max_n=7):
+    """Any signed multigraph on at most max_n vertices: loops of either
+    sign, digons and same-sign parallels all occur."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    edge = st.tuples(vertex, vertex, st.sampled_from((POS, NEG)))
+    return SignedMultigraph(n, tuple(draw(st.lists(edge, max_size=3 * n))))
+
+
+# Colorings compared per unpinned stream: enough to pass a checkpoint.
+STREAM_CAP = 3000
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(small_multigraphs(), st.sampled_from([(2, 1), (4, 1), (6, 2), (8, 3), (10, 3), (12, 5), (32, 9)]))
+def test_search_matches_set_based_reference(g, pq):
+    # The same colorings in the same order and the same clock reads, both
+    # unpinned in vertex order (enumerate_homs) and pinned in the static
+    # order with the hand-off armed (find_sp_hom without chi_c's state).
+    # At a checkpoint every 3 nodes the reads count the nodes, and most
+    # pinned searches hand off.
+    for check in (solver._CHECK_NODES, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_CHECK_NODES", check)
+            assert_same_search(g, pq)
+
+
+def assert_same_search(g, pq):
+    pr = CliqueParams(*pq)
+    tables = solver._pair_tables(g, pr)
+    full = (1 << pr.p) - 1
+    order, roots = solver._static_order(g.edges, g.n)
+    pinned = [1 if v in roots else full for v in range(g.n)]
+    elim_p = pr.p if pr.p <= solver._MAX_ELIMINATION_P else None
+    runs = (
+        (list(range(g.n)), [full] * g.n, None, STREAM_CAP),
+        (order, pinned, elim_p, 1),
+    )
+    for vertices, doms, p, cap in runs:
+        got, want = CountingDeadline(), CountingDeadline()
+        stream = list(itertools.islice(solver._search(vertices, list(doms), tables, got, p), cap))
+        assert stream == list(itertools.islice(reference_search(vertices, list(doms), tables, want, p), cap))
+        assert got.reads == want.reads
+
+
+def test_embeddings_match_set_based_reference(monkeypatch):
+    # core._embed's answer for every ordered pair of classes on at most
+    # four vertices, digons included, with the loop it runs on and with
+    # the reference.
+    from sgchrom import core
+
+    classes = small_classes(4)
+    got = [core._embed(g, h) for g in classes for h in classes]
+    monkeypatch.setattr(
+        solver, "_search", lambda order, domains, tables, deadline, elim_p=None, state=None:
+        reference_search(order, domains, tables, deadline, elim_p)
+    )
+    assert got == [core._embed(g, h) for g in classes for h in classes]
+    assert got.count(None) not in (0, len(got))
+
+
 def test_package_import_leaves_numpy_unloaded():
     # Only bucket elimination uses numpy, and it imports it when it runs,
     # so a process that never eliminates never maps numpy's code.
@@ -940,17 +1100,23 @@ class TestChiCNarrowOrder:
             res = chi_c(g, q_max)
             assert (res.value, res.params, res.witness, res.rejected) == want[name], name
         # The order is made at most once per call.  It proves nine of
-        # PETERSEN's rejections: the seven that reach node _CHECK_NODES,
-        # and 14/5 and 6/2, which follow the first of those, 22/8, and so
-        # ask it at their first wipeout.
+        # PETERSEN's rejections: 22/8, the probe in which the call's
+        # total reaches _CHECK_NODES nodes, and the eight after it, each
+        # asked at its first dead end.
         assert set(made.values()) == {1} and refuted["PETERSEN"] == 9, (made, refuted)
 
-    def test_campaigns_never_make_it(self, monkeypatch):
+    def test_few_campaign_calls_make_it(self, monkeypatch):
+        # The node budget is per call: three of BROOKS's 380 chi_c calls
+        # spend it over several probes and hand off, making the order.
         from sgchrom.campaigns import run_campaign
 
-        monkeypatch.setattr(solver, "_min_fill_order", lambda *args: pytest.fail("min-fill order made"))
-        for cid in ("BROOKS", "NEGATIVE_CYCLES"):
+        made = []
+        real_order = solver._min_fill_order
+        monkeypatch.setattr(solver, "_min_fill_order", lambda *args: made.append(1) or real_order(*args))
+        for cid, want in (("BROOKS", 3), ("NEGATIVE_CYCLES", 0)):
+            made.clear()
             assert run_campaign(cid).passed, cid
+            assert len(made) == want, cid
 
     def test_other_probes_never_make_it(self, monkeypatch):
         # A colorable probe would pay for the min-fill pass and then the
@@ -979,7 +1145,7 @@ class TestChiCNarrowOrder:
 
         monkeypatch.setattr(solver, "_narrow_refutes", refutes_spy)
         g = apply_indicator(hajos_graph(1))
-        assert find_sp_hom(g, CliqueParams(p, q), _min_fill=solver._MinFill()) is None
+        assert find_sp_hom(g, CliqueParams(p, q), _state=solver._CallState()) is None
         assert calls == [(True, True)]
 
     @pytest.mark.parametrize("p, q", [(32, 10), (22, 7)])
@@ -1045,9 +1211,9 @@ def seeded_cubic_graphs():
 
 
 class TestChiCHandOff:
-    """Once a probe of a chi_c call has reached the hand-off at node
-    _CHECK_NODES, the later probes of that call ask the min-fill
-    refutation at their first wipeout."""
+    """The probes of a chi_c call share one budget of _CHECK_NODES nodes;
+    once a probe has handed off after it, the later probes of that call
+    ask the min-fill refutation at their first dead end."""
 
     PETERSEN = build("PETERSEN").graph
 
@@ -1079,10 +1245,10 @@ class TestChiCHandOff:
         calls.clear()
         chi_c(self.PETERSEN, 10)
         # 22/8 hands off; every later rejection is refuted at its first
-        # wipeout, and 20/6 = 10/3, colorable, asks once and goes on.
+        # dead end, and 20/6 = 10/3, colorable, meets none and never asks.
         assert calls == first == [
             "checkpoint", (22, True), (14, True), (20, True), (26, True), (6, True),
-            (28, True), (22, True), (16, True), (26, True), (10, False),
+            (28, True), (22, True), (16, True), (26, True),
         ]
         monkeypatch.setattr(solver, "_min_fill_order", lambda *args: pytest.fail("min-fill order made"))
         assert find_sp_hom(self.PETERSEN, CliqueParams(28, 9)) is None
@@ -1090,7 +1256,8 @@ class TestChiCHandOff:
     def test_one_probe_reaches_the_checkpoint(self, monkeypatch):
         # Before probes handed off on evidence, seven probes reached node
         # _CHECK_NODES, one for each rejection the min-fill order proved;
-        # now only the first of them, 22/8, does.
+        # now only 22/8 reaches a checkpoint, the call's _CHECK_NODES-th
+        # node, 424 nodes into its own search.
         calls = self.refutations(monkeypatch)
         assert chi_c(self.PETERSEN, 10).value == Fraction(10, 3)
         assert calls.count("checkpoint") == 1, calls
@@ -1098,13 +1265,13 @@ class TestChiCHandOff:
     def test_matches_static_order_on_cubic_graphs(self, monkeypatch):
         graphs = seeded_cubic_graphs()
         want = [reference_chi_c(g, 10) for g in graphs]
-        early = [0] * len(graphs)  # refutations asked at a first wipeout
+        early = [0] * len(graphs)  # refutations asked at a first dead end
         real_find = solver.find_sp_hom
 
-        def find_spy(*args, _min_fill=None, **kwargs):
-            after_hand_off = _min_fill is not None and _min_fill.order is not None
+        def find_spy(*args, _state=None, **kwargs):
+            after_hand_off = _state is not None and _state.min_fill is not None
             asked = len(calls)
-            hom = real_find(*args, _min_fill=_min_fill, **kwargs)
+            hom = real_find(*args, _state=_state, **kwargs)
             refutations = sum(call != "checkpoint" for call in calls[asked:])
             assert refutations <= 1  # a failed refutation is not asked again
             early[k] += after_hand_off and refutations
@@ -1115,4 +1282,4 @@ class TestChiCHandOff:
         for k, g in enumerate(graphs):
             res = chi_c(g, 10)
             assert (res.value, res.params, res.witness, res.rejected) == want[k], k
-        assert sum(map(bool, early)) == 23, early
+        assert sum(map(bool, early)) == 24, early
