@@ -5,16 +5,19 @@ Enumeration yields one representative per switching-isomorphism class:
 underlying multigraphs are generated by vertex augmentation with
 canonical-form deduplication, and per underlying graph the signatures
 are cotree sign vectors (spanning forest forced positive) deduplicated
-as orbits under automorphisms composed with switching.  A cotree vector
-is a bit vector over GF(2) holding the signs of the fundamental cycles,
-which fix the switching class (Zaslavsky 1982), so each automorphism
-acts on it as a linear map; orbits are marked by XOR-ing precomputed
-columns, and a graph object is built only for each representative.
-Augmentation skips, before canonical labelling, the children whose class
-is already known: those an automorphism of the parent maps onto an
-earlier child (the orbit rule), and, in a connected enumeration,
-disconnected children on the last level (the connectivity cut).  Neither
-rule changes which representatives come out or their order.
+as orbits under automorphisms composed with switching.  Automorphism
+groups travel as the generators that canonical labelling returns, never
+as element lists.  A cotree vector is a bit vector over GF(2) holding
+the signs of the fundamental cycles, which fix the switching class
+(Zaslavsky 1982), so each generator acts on it as a linear map; an
+orbit is marked by closure over those maps, each image the XOR of
+precomputed columns, and a graph object is built only for each
+representative.  Augmentation skips, before canonical labelling, the
+children whose class is already known: those in the orbit of an earlier
+child under the parent's group (the orbit rule), and, in a connected
+enumeration, disconnected children on the last level (the connectivity
+cut).  Neither rule changes which representatives come out or their
+order.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def _underlying_classes(spec: EnumSpec):
     2..spec.n_max vertices, with per-pair states 0/1 (0/1/2 with digons)
     and degrees within spec.max_degree, grown by vertex augmentation from
     the single-vertex graph.  Each representative is a (pair-state dict,
-    automorphism group) couple; one canonical-form search per
+    automorphism group generators) couple; one canonical-form search per
     augmentation child gives both.
 
     Two rules decide children without that search, and neither changes
@@ -101,23 +104,28 @@ def _underlying_classes(spec: EnumSpec):
 
     - Orbit rule (McKay, Isomorph-free exhaustive generation, 1998): an
       automorphism s of the parent maps the augmentation vector ``vec``
-      to ``w`` with w[s(u)] = vec[u], and both give isomorphic children.
-      ``vec`` is skipped when some s gives a lexicographically smaller
-      ``w``.  The degree filter is invariant under s, and
-      ``itertools.product`` visits the least member of an orbit first,
-      so every code still enters ``nxt`` at the same position; its value
-      (canonical graph, group) is a function of the code.
+      to ``w`` with w[i] = vec[s(i)], and both give isomorphic children.
+      Each parent keeps a ``seen`` set: a vector that passes the filters
+      is skipped if it is in ``seen``, and otherwise its orbit, the
+      closure under the generators, is added.  ``itertools.product``
+      visits vectors in ascending order and the degree filter and the
+      connectivity cut are invariant under the group, so this admits
+      exactly the least member of each orbit, as a check of every
+      group image would, and every code still enters ``nxt`` at the
+      same position.  Its value is the canonical graph, a function of
+      the code, and generators whose closure is that graph's group.
     - Connectivity cut: with spec.connected, a child on n_max vertices
       whose new vertex misses a component of the parent is disconnected.
       It is never a parent and ``enumerate_signed`` drops it, so it is
       skipped."""
     states = (0, 1, 2) if spec.allow_digons else (0, 1)
     max_degree = spec.max_degree
-    reps: list[tuple[_canon.PairStates, list]] = [({}, [(0,)])]  # the 1-vertex graph
+    reps: list[tuple[_canon.PairStates, list]] = [({}, [])]  # the 1-vertex graph
     for size in range(2, spec.n_max + 1):
         nxt: dict[tuple, tuple[_canon.PairStates, list]] = {}
         cut = spec.connected and size == spec.n_max
-        for parent, auts in reps:
+        for parent, gens in reps:
+            seen: set[tuple] = set()
             deg = [0] * (size - 1)
             for (a, b), st in parent.items():
                 deg[a] += st
@@ -132,29 +140,38 @@ def _underlying_classes(spec: EnumSpec):
                         continue
                 if cut and not all(any(vec[u] for u in comp) for comp in comps):
                     continue
-                # The group holds every inverse, so w[i] = vec[s(i)] ranges
-                # over the same images as w[s(u)] = vec[u].
-                if any(tuple(vec[u] for u in perm) < vec for perm in auts):
+                if vec in seen:
                     continue
+                # Mark vec's orbit: w[i] = vec[g(i)] for each generator g,
+                # to closure.
+                seen.add(vec)
+                stack = [vec]
+                while stack:
+                    x = stack.pop()
+                    for g in gens:
+                        w = tuple([x[i] for i in g])
+                        if w not in seen:
+                            seen.add(w)
+                            stack.append(w)
                 pairs = dict(parent)
                 for u, st in enumerate(vec):
                     if st:
                         pairs[(u, size - 1)] = st
-                code, labs = _canon.canonical_form(size, pairs)
+                code, _, child_gens = _canon.canonical_form(size, pairs)
                 if code not in nxt:
                     # code lists the canonical graph's states pair by pair.
                     canon = {ij: st for ij, st in zip(itertools.combinations(range(size), 2), code) if st}
-                    nxt[code] = (canon, _canon.automorphisms(labs))
+                    nxt[code] = (canon, child_gens)
         reps = list(nxt.values())
         yield size, reps
 
 
 def _signature_classes(
-    n: int, pairs: _canon.PairStates, auts: list[tuple[int, ...]]
+    n: int, pairs: _canon.PairStates, gens: list[tuple[int, ...]]
 ) -> list[SignedMultigraph]:
     """One signed representative per switching-isomorphism class over a
     fixed underlying multigraph: orbits of cotree sign vectors under its
-    automorphism group ``auts``.
+    automorphism group, given by the generators ``gens``.
 
     Switching makes the BFS forest of the single edges positive, so a
     switching class is a vector x over GF(2) with one bit per cotree
@@ -166,8 +183,9 @@ def _signature_classes(
     cotree edge d, x's bit e lands on d; if s(e) is a forest edge f, it
     lands on every cotree edge whose fundamental cycle uses f.  Those
     are the columns of a linear map, and the image of x is the XOR of
-    the columns of its set bits.  Digons are sign-symmetric and do not
-    enter.
+    the columns of its set bits.  There is one column list per
+    generator, and a representative's orbit is its closure under those
+    maps.  Digons are sign-symmetric and do not enter.
 
     This equals re-normalising the relabelled graph with
     ``canonical_signature``: s keeps the single-edge pairs, bfs_forest
@@ -197,10 +215,10 @@ def _signature_classes(
             column[(min(a, parent[a]), max(a, parent[a]))] |= bit
             a = parent[a]
     column.update(bit_of)
-    # maps[i][b]: the image of bit b under auts[i], lowest bit first.
+    # maps[i][b]: the image of bit b under gens[i], lowest bit first.
     maps = [
         [column[(min(perm[a], perm[b]), max(perm[a], perm[b]))] for (a, b) in reversed(cotree)]
-        for perm in auts
+        for perm in gens
     ]
     digon_edges = [(a, b, POS) for (a, b) in digons] + [(a, b, NEG) for (a, b) in digons]
     reps: list[SignedMultigraph] = []
@@ -210,14 +228,20 @@ def _signature_classes(
             continue
         edges = [(a, b, NEG if bit_of.get((a, b), 0) & x else POS) for (a, b) in singles]
         reps.append(SignedMultigraph(n, tuple(sorted(edges + digon_edges))))
-        for cols in maps:
-            y = 0
-            rest = x
-            for col in cols:
-                if rest & 1:
-                    y ^= col
-                rest >>= 1
-            seen[y] = 1
+        seen[x] = 1
+        stack = [x]
+        while stack:
+            z = stack.pop()
+            for cols in maps:
+                y = 0
+                rest = z
+                for col in cols:
+                    if rest & 1:
+                        y ^= col
+                    rest >>= 1
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
     return reps
 
 
@@ -226,10 +250,10 @@ def enumerate_signed(spec: EnumSpec) -> Iterator[SignedMultigraph]:
     vertex count 1..n_max, in a deterministic order."""
     yield SignedMultigraph(1, ())
     for size, reps in _underlying_classes(spec):
-        for pairs, auts in reps:
+        for pairs, gens in reps:
             if spec.connected and len(components(size, pairs)) > 1:
                 continue
-            for g in _signature_classes(size, pairs, auts):
+            for g in _signature_classes(size, pairs, gens):
                 yield g
 
 
@@ -456,7 +480,7 @@ _CAMPAIGNS = {
     "T_SURJECTIVE": _Campaign(lambda size, threads: campaign_T_surjective()),
     "SMALL_3COLORABLE": _Campaign(lambda size, threads: campaign_small_3colorable(threads=threads)),
     "SMALL_CRITICAL": _Campaign(lambda size, threads: campaign_small_critical(threads=threads)),
-    "BROOKS": _Campaign(lambda size, threads: campaign_brooks(n_max=size, threads=threads), 7, high=8),
+    "BROOKS": _Campaign(lambda size, threads: campaign_brooks(n_max=size, threads=threads), 7, high=10),
     "NEGATIVE_CYCLES": _Campaign(lambda size, threads: campaign_negative_cycles(l_max=size), 8, 2),
     "PETERSEN": _Campaign(lambda size, threads: campaign_petersen()),
     "DENSITY_FAMILY": _Campaign(lambda size, threads: campaign_density_family(k_max=size), 5),

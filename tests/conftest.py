@@ -195,3 +195,18 @@ def assert_embedding(g: SignedMultigraph, h: SignedMultigraph, found) -> None:
     for pair, need in grouped(h).items():
         have = host.get((min(phi[pair[0]], phi[pair[1]]), max(phi[pair[0]], phi[pair[1]])), Counter())
         assert all(have[s] >= c for s, c in need.items())
+
+
+def closure(n: int, gens) -> list:
+    """The permutation group of range(n) that ``gens`` generate, sorted."""
+    identity = tuple(range(n))
+    group = {identity}
+    stack = [identity]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = tuple(g[i] for i in x)
+            if y not in group:
+                group.add(y)
+                stack.append(y)
+    return sorted(group)

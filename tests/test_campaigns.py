@@ -36,7 +36,7 @@ from sgchrom.core import (
 )
 from sgchrom.solver import enumerate_homs, is_colorable
 
-from conftest import oracle_sign_tensors, random_signed_graph
+from conftest import closure, oracle_sign_tensors, random_signed_graph
 
 
 def census_oracle_direct(n: int, allow_digons: bool) -> int:
@@ -75,7 +75,7 @@ def signature_classes_by_relabelling(n, pairs, auts):
     """The orbit rule ``_signature_classes`` replaced: build each cotree
     sign vector as a graph, in itertools.product order, and mark an
     orbit by re-normalising every relabelled copy with
-    ``canonical_signature``."""
+    ``canonical_signature``, one per element of the group ``auts``."""
     singles = sorted(p for p, st in pairs.items() if st == 1)
     digons = sorted(p for p, st in pairs.items() if st == 2)
     forest = {(min(u, w), max(u, w)) for (u, w) in bfs_forest(n, singles)}
@@ -246,16 +246,76 @@ class TestEnumerate:
     def test_orbit_maps_match_relabelling(self, spec):
         """The GF(2) orbit maps give the representatives, in the same
         order and with the same edge lists, as the rule they replaced,
-        for every underlying class (disconnected ones included)."""
+        for every underlying class (disconnected ones included).  The
+        reference walks the whole group, the closure of the generators."""
         checked = 0
         for size, reps in _underlying_classes(spec):
-            for pairs, auts in reps:
-                got = _signature_classes(size, pairs, auts)
-                want = signature_classes_by_relabelling(size, pairs, auts)
+            for pairs, gens in reps:
+                got = _signature_classes(size, pairs, gens)
+                want = signature_classes_by_relabelling(size, pairs, closure(size, gens))
                 assert [g.edges for g in got] == [g.edges for g in want], (size, pairs)
                 assert all(g.n == size for g in got)
                 checked += 1
         assert checked > 100
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EnumSpec(n_max=5, allow_digons=True),
+            EnumSpec(n_max=7, connected=True, max_degree=3),
+        ],
+        ids=["digons-5", "subcubic-connected-7"],
+    )
+    def test_generator_orbit_rule_admits_what_the_group_rule_admits(self, spec, monkeypatch):
+        """Per parent, marking each admitted vector's orbit by closure over
+        the generators leaves to canonical labelling exactly the children
+        that the full-group "least in its orbit" rule leaves, in order."""
+        real = _canon.canonical_form
+        calls = []
+
+        def recording(n, pairs):
+            calls.append((n, dict(pairs)))
+            return real(n, pairs)
+
+        monkeypatch.setattr(_canon, "canonical_form", recording)
+        levels = {1: [({}, [])]}
+        for size, reps in _underlying_classes(spec):
+            levels[size] = reps
+        want = [
+            (size, child)
+            for size in range(2, spec.n_max + 1)
+            for parent, gens in levels[size - 1]
+            for child in admitted_by_full_group(spec, size, parent, closure(size - 1, gens))
+        ]
+        assert calls == want
+
+
+def admitted_by_full_group(spec: EnumSpec, size: int, parent: dict, group: list) -> list:
+    """The augmentation children of ``parent`` (on size - 1 vertices) that
+    the filters and the full-group orbit rule leave to canonical
+    labelling, in order: ``vec`` goes unless some group element s gives
+    a lexicographically smaller w[i] = vec[s(i)]."""
+    states = (0, 1, 2) if spec.allow_digons else (0, 1)
+    deg = [0] * (size - 1)
+    for (a, b), st in parent.items():
+        deg[a] += st
+        deg[b] += st
+    cut = spec.connected and size == spec.n_max
+    comps = core.components(size - 1, parent) if cut else ()
+    children = []
+    for vec in itertools.product(states, repeat=size - 1):
+        if spec.max_degree is not None and (
+            sum(vec) > spec.max_degree or any(deg[u] + vec[u] > spec.max_degree for u in range(size - 1))
+        ):
+            continue
+        if cut and not all(any(vec[u] for u in comp) for comp in comps):
+            continue
+        if any(tuple(vec[u] for u in perm) < vec for perm in group):
+            continue
+        pairs = dict(parent)
+        pairs.update({(u, size - 1): st for u, st in enumerate(vec) if st})
+        children.append(pairs)
+    return children
 
 
 def sweep_switched_maps(t: SignedMultigraph):
@@ -460,8 +520,8 @@ class TestBrooks:
 
     def test_cap(self):
         # The one cap is the registry's bound, which run_campaign reads.
-        with pytest.raises(ValueError, match="n_max 1..8"):
-            run_campaign("BROOKS", n_max=9)
+        with pytest.raises(ValueError, match="n_max 1..10"):
+            run_campaign("BROOKS", n_max=11)
 
     def test_uncolorable_class_is_a_failure(self, monkeypatch):
         # chi_c raises CeilingExhausted on a graph with no fraction up to

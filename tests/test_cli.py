@@ -144,7 +144,7 @@ class TestLemmaAndCampaign:
             ("campaign", "NEGATIVE_CYCLES", "--n-max", "0"),
             ("campaign", "NEGATIVE_CYCLES", "--n-max", "1"),
             ("campaign", "BROOKS", "--n-max", "0"),
-            ("campaign", "BROOKS", "--n-max", "9"),
+            ("campaign", "BROOKS", "--n-max", "11"),
             ("campaign", "DENSITY_FAMILY", "--n-max", "0"),
             ("campaign", "DENSITY_FAMILY", "--n-max", "-3"),
             ("campaign", "PETERSEN", "--n-max", "3"),
