@@ -90,12 +90,12 @@ def _read_coloring(path: str, g, p: int) -> tuple[int, ...]:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if int(den) == 0:
-            raise ValueError(f"fraction {text!r} has a zero denominator")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """``--ceiling``'s value: an integer or a fraction p/q."""
+    num, slash, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--ceiling takes an integer or a fraction p/q with q != 0, not {text!r}") from None
 
 
 def main(argv=None) -> int:

@@ -12,21 +12,19 @@ component's root and lists the first coloring by vertex.  Backjumping
 never crosses components, so they need no set-up of their own.
 
 ``find_sp_hom`` decides colorability exactly by taking that first
-coloring with each root pinned to color 0.  At the 2,048th node, the
-first checkpoint, where it also reads the clock, the loop may return
-the answer of bucket elimination (Dechter 1999) in the reverse of the
-same order instead, provided that a forward check has wiped out a
-domain by then, no list domains are given, p <= 32, and the
-elimination's largest join grid has at most 2**20 cells; otherwise
-FC-CBJ carries on.  (Probes of ``chi_c`` may stop earlier; see below.)
-Each elimination function is stored once per rotation class: rotating
-every color is an automorphism of the clique, and only the roots are
-pinned, so a function is known from its values with its first argument
-at color 0.  That divides the work and the memory of elimination by p.
-A join reads a function anchored at the grid's anchor as a broadcast
-view of its table, a single-vertex function as the table of its mask's
-p rotations, and any other by a per-chunk gather; each chunk is packed
-into message masks by one ``np.packbits`` call.
+coloring with each root pinned to color 0.  When no list domains are
+given and p <= 32, its search may hand off to bucket elimination
+(Dechter 1999) in the reverse of the same order, provided that the
+elimination's largest join grid has at most 2**20 cells (a static plan
+fits).  Each elimination function is stored once per rotation class:
+rotating every color is an automorphism of the clique, and only the
+roots are pinned, so a function is known from its values with its first
+argument at color 0.  That divides the work and the memory of
+elimination by p.  A join reads a function anchored at the grid's
+anchor as a broadcast view of its table, a single-vertex function as
+the table of its mask's p rotations, and any other by a per-chunk
+gather; each chunk is packed into message masks by one ``np.packbits``
+call.
 
 Both deciders return the same witness, the lexicographically first
 coloring in the static order with every root at color 0: forward
@@ -39,21 +37,35 @@ same loop to the end in vertex order, without pinning.
 and returns the first colorable one together with a witness and the
 list of rejected fractions, so the answer is the minimum within the
 denominator budget.  Its probes all ask about one graph, so they share
-a ``_CallState``: one static order, and one budget of 2,048 FC-CBJ
-nodes before the hand-off, spent across the probes, so the probe in
-which the call's total reaches it hands off there.  Most probes are
-rejections, so at the hand-off a probe of ``chi_c`` first eliminates in
-a greedy min-fill order (Bodlaender & Koster 2010), made once per call,
-when that order's largest scope is smaller than the static order's, or
-when only it fits the grid limit: on Petersen its grids have p**3 cells
-instead of p**4.  Once one probe of the call has made that order at its
-hand-off, each later probe tries that refutation at its first dead end
-instead, and, if it fails, hands off to the static order alone at its
-own 2,048th node.  Other pinned searches try that order only when the
-static one does not fit.  Elimination never reads the pinned
-domains and every function commutes with rotation in any order, so an
-empty message there is a complete proof of non-colorability.  A
-colorable answer is dropped and the probe goes on as any other, so
+a ``_CallState``: one static order, the FC-CBJ nodes the call has
+spent, and a greedy min-fill order (Bodlaender & Koster 2010), made
+once per call, in which elimination may refute a probe.  That
+refutation runs only when the min-fill plan's largest scope is smaller
+than the static plan's, or only it fits the grid limit: on Petersen its
+grids have p**3 cells instead of p**4.
+
+Two rules hand a search off (``core._embed`` and ``enumerate_homs``
+never do):
+
+1. A search of ``find_sp_hom``, each probe of ``chi_c`` included, hands
+   off at its own node _CHECK_NODES (2,048), its first clock
+   checkpoint, if a forward check has wiped out a domain by then.  It first tries the
+   min-fill refutation when that is still pending (rule 2) or no static
+   plan fits, then, if one fits, returns static elimination's answer.
+   Otherwise FC-CBJ carries on to the end.
+2. A probe of ``chi_c`` tries the min-fill refutation at most once: at
+   its first dead end (a depth whose domain is exhausted) after its call
+   has spent _CHECK_NODES FC-CBJ nodes, or at the hand-off if that comes
+   first.  Most probes are rejections, and a colorable one often meets
+   no dead end.  A colorable plain search would pay for the min-fill
+   pass and then the static one (tried at every plain hand-off, the
+   gadget benchmark's mean pass took 28 % longer), so a plain search
+   tries the refutation only where no static plan fits.
+
+Elimination never reads the pinned domains and every function commutes
+with rotation in any order, so an empty message in the min-fill order
+is a complete proof of non-colorability.  A colorable answer there is
+dropped and the search goes on as if it had not run, so
 back-substitution runs only in the static order and every witness stays
 the one above.
 """
@@ -120,9 +132,8 @@ def verify_hom(g: SignedMultigraph, h: Homomorphism) -> bool:
     return True
 
 
-# FC-CBJ reads the clock at least every _CHECK_NODES nodes of its search;
-# at its first checkpoint (for chi_c's probes, when the call's total
-# reaches _CHECK_NODES) the search may switch to elimination.
+# FC-CBJ reads the clock every _CHECK_NODES nodes of its search; the two
+# hand-off rules of the module docstring count nodes against it too.
 _CHECK_NODES = 2048
 
 
@@ -237,28 +248,12 @@ def _search(order, domains, tables, deadline, elim_p=None, state=None) -> Iterat
     The search state lives in per-depth lists, not on the call stack:
     domains and their trails are read and written by depth, and the
     pruning and conflict sets are bitmasks over depths.  Every
-    _CHECK_NODES nodes it reads the clock.  At the first such
-    checkpoint, when ``elim_p`` (the clique's p) is given and a forward
-    check has wiped out a domain, the search hands off.  When ``state``
-    is given too (chi_c's _CallState) or no elimination in ``order``
-    fits, it first stops, with no coloring, if the min-fill order
-    refutes the graph (_narrow_refutes).  Then, if _plan finds a small
-    enough elimination in ``order``, it yields _eliminate's coloring, if
-    there is one, and stops; that needs every root pinned to color 0.  A
-    search with no wipeout yet, such as on a long path, stays on FC-CBJ.
-
-    The probes of one chi_c call share one budget of _CHECK_NODES nodes
-    in ``state.nodes``: a probe's first checkpoint comes when the call's
-    total reaches it, and a probe that passes a first checkpoint without
-    a wipeout hands off at its first wipeout after it.  A probe that
-    starts with the budget spent hands off at its first wipeout if no
-    min-fill order has been made yet.  Once one has, the refutation is
-    asked at the probe's first dead end (a depth whose domain is
-    exhausted) instead, as later probes are mostly rejections too, and
-    the probe hands off to ``order`` alone at its own node _CHECK_NODES.
-    Either way no probe hands off later than with a budget of its own,
-    it asks for the refutation at most once, and its clock is read at
-    least every _CHECK_NODES of its nodes.
+    _CHECK_NODES nodes it reads the clock.  With ``elim_p`` (the
+    clique's p) given, it hands off by the two rules of the module
+    docstring, ``state`` being chi_c's _CallState: it stops with no
+    coloring when _narrow_refutes proves there is none, or yields
+    _eliminate's coloring, if there is one, and stops; that needs every
+    root pinned to color 0.
 
     ``tables`` covers exactly ``order``; ``domains`` is read once.
     """
@@ -281,16 +276,10 @@ def _search(order, domains, tables, deadline, elim_p=None, state=None) -> Iterat
     conf_set = [0] * n
     nodes = 0
     next_check = _CHECK_NODES
-    due = elim_p is not None  # hand off at a checkpoint once a domain was wiped out
-    late = False  # hand off at the first wipeout: it makes the next node a checkpoint
-    ask = asked = False  # ask the refutation at the first dead end; it has been asked
-    if due and state is not None:
-        if state.nodes < _CHECK_NODES:
-            next_check -= state.nodes
-        elif state.min_fill is None:
-            late = True
-        else:
-            ask = True
+    # Rule 2: a chi_c probe's min-fill refutation is pending until tried,
+    # at a dead end from our node refute_at, the call's _CHECK_NODES-th.
+    pending = elim_p is not None and state is not None
+    refute_at = _CHECK_NODES - state.nodes if pending else 0
     wiped = False
     i = 0
     untried[0] = dom[0]
@@ -306,23 +295,17 @@ def _search(order, domains, tables, deadline, elim_p=None, state=None) -> Iterat
                 if nodes == next_check:
                     next_check = nodes + _CHECK_NODES
                     deadline.check_clock()
-                    if due:
-                        if wiped:
-                            due = late = False
-                            static = _plan(order, tables, elim_p)
-                            if not asked and (state is not None or static is None):
-                                asked = True
-                                if _narrow_refutes(order, tables, static, elim_p, deadline, state or _CallState()):
-                                    return
-                            if static is not None:
-                                sol = _eliminate(order, tables, static, elim_p, deadline)
-                                if sol is not None:
-                                    yield sol
+                    if nodes == _CHECK_NODES and wiped and elim_p is not None:  # rule 1
+                        static = _plan(order, tables, elim_p)
+                        if pending or (state is None and static is None):
+                            if _narrow_refutes(order, tables, static, elim_p, deadline, state or _CallState()):
                                 return
-                        elif state is not None:
-                            late = True
-                        else:
-                            due = False
+                            pending = False
+                        if static is not None:
+                            sol = _eliminate(order, tables, static, elim_p, deadline)
+                            if sol is not None:
+                                yield sol
+                            return
                 trail = trails[i] = []
                 for (j, tab) in later[i]:
                     old = dom[j]
@@ -332,9 +315,6 @@ def _search(order, domains, tables, deadline, elim_p=None, state=None) -> Iterat
                         dom[j] = new
                         past_fc[j] |= me
                         if new == 0:
-                            if late:
-                                late = False
-                                next_check = nodes + 1
                             wiped = True
                             conf_set[i] |= past_fc[j] ^ me
                             break
@@ -357,10 +337,10 @@ def _search(order, domains, tables, deadline, elim_p=None, state=None) -> Iterat
                 conf_set[i] = 0
                 if not conflicts:
                     return
-                if ask:
-                    ask, asked = False, True
+                if pending and nodes >= refute_at:
                     if _narrow_refutes(order, tables, _plan(order, tables, elim_p), elim_p, deadline, state):
                         return
+                    pending = False
                 target = conflicts.bit_length() - 1
                 while i > target:
                     i -= 1
@@ -479,8 +459,7 @@ def _min_fill_order(order: Sequence[int], tables) -> list[int]:
 class _CallState:
     """What the probes of one chi_c call share about their one graph: its
     static order and roots, the FC-CBJ nodes they have spent, and its
-    min-fill order, made at the first hand-off that needs it.  Plain
-    searches get none, or a fresh one at the hand-off."""
+    min-fill order once made."""
 
     __slots__ = ("order", "roots", "nodes", "min_fill")
 
@@ -494,22 +473,13 @@ class _CallState:
 def _narrow_refutes(order, tables, static, p: int, deadline: _Deadline, state: _CallState) -> bool:
     """True when bucket elimination in the graph's min-fill order proves
     that it has no coloring; ``static`` is _plan's plan in ``order``, and
-    ``state.min_fill`` holds the min-fill order once made (chi_c's probes
-    all ask about one graph, so they share it).
+    ``state.min_fill`` holds the min-fill order once made.
 
-    Tried only when the min-fill plan's largest scope is smaller than the
-    static plan's, or the static plan is too large and the min-fill one
-    is not.  An answer of "colorable" says nothing here: the caller goes
-    on as if this had not run, so the witness stays the static order's.
-    chi_c asks once per probe, its probes being mostly rejections: at
-    the hand-off until one of its probes has made ``state.min_fill``,
-    then at each later probe's first dead end, which a colorable probe
-    often never meets.  Other searches ask only at the hand-off and when
-    the static plan is too large, as a colorable probe pays for this
-    pass and then the static one (asked at every pinned hand-off, the
-    gadget benchmark's mean pass took 28 % longer).  No plan fits if
-    p ** (d - 1) > _MAX_GRID_CELLS at the least degree d: any order's
-    first elimination joins a vertex with all its neighbors.
+    It eliminates only when the min-fill plan's largest scope is smaller
+    than the static plan's, or the static plan is too large and the
+    min-fill one is not.  False says nothing about colorability.  No plan
+    fits if p ** (d - 1) > _MAX_GRID_CELLS at the least degree d: any
+    order's first elimination joins a vertex with all its neighbors.
     """
     degree = Counter(a for (a, _) in tables)
     if degree and p ** (min(degree.values()) - 1) > _MAX_GRID_CELLS:
@@ -708,12 +678,7 @@ def find_sp_hom(
     the root of every connected component to color 0, which is sound
     because the clique is vertex-transitive under color rotation.  A
     ``deadline_s`` that has already passed raises at once.  ``_state``
-    is chi_c's alone: the _CallState its probes share, which gives them
-    one static order, one node budget before the hand-off, and a
-    refutation in the graph's min-fill order, tried first at the
-    hand-off or, once a probe of the call has made that order, at the
-    first dead end; without it, one is tried only when no static plan
-    fits.
+    is chi_c's alone: the _CallState its probes share.
     """
     pr = _params(params)
     if g.has_negative_loop:

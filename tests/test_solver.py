@@ -1102,12 +1102,13 @@ class TestChiCNarrowOrder:
         # The order is made at most once per call.  It proves nine of
         # PETERSEN's rejections: 22/8, the probe in which the call's
         # total reaches _CHECK_NODES nodes, and the eight after it, each
-        # asked at its first dead end.
+        # asked at its first dead end after that node.
         assert set(made.values()) == {1} and refuted["PETERSEN"] == 9, (made, refuted)
 
     def test_few_campaign_calls_make_it(self, monkeypatch):
-        # The node budget is per call: three of BROOKS's 380 chi_c calls
-        # spend it over several probes and hand off, making the order.
+        # The node count is per call: three of BROOKS's 380 chi_c calls
+        # spend _CHECK_NODES nodes over several probes and then ask for
+        # the refutation, making the order.
         from sgchrom.campaigns import run_campaign
 
         made = []
@@ -1211,9 +1212,10 @@ def seeded_cubic_graphs():
 
 
 class TestChiCHandOff:
-    """The probes of a chi_c call share one budget of _CHECK_NODES nodes;
-    once a probe has handed off after it, the later probes of that call
-    ask the min-fill refutation at their first dead end."""
+    """Each probe of a chi_c call hands off at its own node _CHECK_NODES,
+    as a plain search does; the call's node count only decides when a
+    probe asks the min-fill refutation: at its first dead end after the
+    call's _CHECK_NODES-th node, or at the hand-off."""
 
     PETERSEN = build("PETERSEN").graph
 
@@ -1244,37 +1246,36 @@ class TestChiCHandOff:
         first = list(calls)
         calls.clear()
         chi_c(self.PETERSEN, 10)
-        # 22/8 hands off; every later rejection is refuted at its first
-        # dead end, and 20/6 = 10/3, colorable, meets none and never asks.
+        # 22/8 and every later rejection are refuted at their first dead
+        # end, and 20/6 = 10/3, colorable, meets none and never asks.
         assert calls == first == [
-            "checkpoint", (22, True), (14, True), (20, True), (26, True), (6, True),
+            (22, True), (14, True), (20, True), (26, True), (6, True),
             (28, True), (22, True), (16, True), (26, True),
         ]
         monkeypatch.setattr(solver, "_min_fill_order", lambda *args: pytest.fail("min-fill order made"))
         assert find_sp_hom(self.PETERSEN, CliqueParams(28, 9)) is None
 
-    def test_one_probe_reaches_the_checkpoint(self, monkeypatch):
-        # Before probes handed off on evidence, seven probes reached node
-        # _CHECK_NODES, one for each rejection the min-fill order proved;
-        # now only 22/8 reaches a checkpoint, the call's _CHECK_NODES-th
-        # node, 424 nodes into its own search.
+    def test_no_probe_reaches_a_checkpoint(self, monkeypatch):
+        # 22/8 passes the call's _CHECK_NODES-th node 424 nodes into its
+        # own search and asks at its first dead end after it, so no probe
+        # runs _CHECK_NODES nodes of its own.
         calls = self.refutations(monkeypatch)
         assert chi_c(self.PETERSEN, 10).value == Fraction(10, 3)
-        assert calls.count("checkpoint") == 1, calls
+        assert "checkpoint" not in calls, calls
 
     def test_matches_static_order_on_cubic_graphs(self, monkeypatch):
         graphs = seeded_cubic_graphs()
         want = [reference_chi_c(g, 10) for g in graphs]
-        early = [0] * len(graphs)  # refutations asked at a first dead end
+        early = [0] * len(graphs)  # refutations asked once the call's order exists
         real_find = solver.find_sp_hom
 
         def find_spy(*args, _state=None, **kwargs):
-            after_hand_off = _state is not None and _state.min_fill is not None
+            order_made = _state is not None and _state.min_fill is not None
             asked = len(calls)
             hom = real_find(*args, _state=_state, **kwargs)
             refutations = sum(call != "checkpoint" for call in calls[asked:])
             assert refutations <= 1  # a failed refutation is not asked again
-            early[k] += after_hand_off and refutations
+            early[k] += order_made and refutations
             return hom
 
         calls = self.refutations(monkeypatch)
@@ -1283,3 +1284,36 @@ class TestChiCHandOff:
             res = chi_c(g, 10)
             assert (res.value, res.params, res.witness, res.rejected) == want[k], k
         assert sum(map(bool, early)) == 24, early
+
+    def test_probes_hand_off_as_plain_searches(self, monkeypatch):
+        # With the min-fill refutation failing, each probe runs as a plain
+        # find_sp_hom on its fraction: the same clock checkpoints, the
+        # same static eliminations and the same answer.
+        events = []
+        real_find, real_eliminate, real_check = solver.find_sp_hom, solver._eliminate, solver._Deadline.check_clock
+
+        def eliminate_spy(order, tables, parents, p, deadline):
+            events.append(("eliminate", p))
+            return real_eliminate(order, tables, parents, p, deadline)
+
+        def check_spy(deadline):
+            if sys._getframe(1).f_code.co_name == "_search":
+                events.append("checkpoint")
+            return real_check(deadline)
+
+        def run(*args, **kwargs):
+            events.clear()
+            hom = real_find(*args, **kwargs)
+            return list(events), hom
+
+        def find_spy(g, params, **kwargs):
+            probe = run(g, params, **kwargs)
+            assert probe == run(g, params), params
+            return probe[1]
+
+        monkeypatch.setattr(solver, "_narrow_refutes", lambda *args: False)
+        monkeypatch.setattr(solver, "_eliminate", eliminate_spy)
+        monkeypatch.setattr(solver._Deadline, "check_clock", check_spy)
+        monkeypatch.setattr(solver, "find_sp_hom", find_spy)
+        for g in [self.PETERSEN, *seeded_cubic_graphs()]:
+            chi_c(g, 10)
