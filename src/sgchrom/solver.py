@@ -20,11 +20,12 @@ fits).  Each elimination function is stored once per rotation class:
 rotating every color is an automorphism of the clique, and only the
 roots are pinned, so a function is known from its values with its first
 argument at color 0.  That divides the work and the memory of
-elimination by p.  A join reads a function anchored at the grid's
-anchor as a broadcast view of its table, a single-vertex function as
-the table of its mask's p rotations, and any other by a per-chunk
-gather; each chunk is packed into message masks by one ``np.packbits``
-call.
+elimination by p.  A join reads a function in one of two ways: one
+anchored at the grid's anchor as a broadcast view of its table, any
+other as a view of its expansion, made once per message with its
+anchor's color on a leading axis and its masks rotated to match.  Each
+chunk of the grid slices those views and is packed into message masks
+by one ``np.packbits`` call.
 
 Both deciders return the same witness, the lexicographically first
 coloring in the static order with every root at color 0: forward
@@ -571,14 +572,20 @@ def _message(bucket, scope: Sequence[int], p: int, full: int, deadline: _Deadlin
     row-major order.  For a single-member scope it returns one cell, 1
     when the bucket is satisfiable at all and 0 when it is not.
 
-    Functions are read in three ways.  One anchored at scope[0] is
-    already in grid coordinates, its anchor being at color 0: its table
-    is reshaped to a view that broadcasts over the grid, and a 0-d one
-    is a constant.  A single-vertex function elsewhere becomes the p
-    rotations of its mask, a view along its vertex's axis.  Views over
-    the same axes are joined once, here; each chunk then slices them.
-    Any other function is gathered per chunk by indexing with one
-    broadcast array per axis and rotated.  No temporary is larger than
+    Functions are read in two ways.  One anchored at scope[0] is already
+    in grid coordinates, its anchor being at color 0: its table is
+    reshaped to a view that broadcasts over the grid (a 0-d one over
+    every axis).  Any other, over a scope S, is expanded once per
+    message to one axis per member of S, its anchor's color t first:
+    the table read at the other members' colors shifted back by t, each
+    mask rotated by t.  That is the join's one mask rotation; the
+    expansion is then a view like the first kind.  Views over the same
+    axes are joined once, here; each chunk then slices them.
+
+    An expansion has p ** |S| cells, the size of the grid of the bucket
+    that sent it, so at most _MAX_GRID_CELLS; it is made with one
+    temporary of its size, and joining two views over the same axes
+    also makes an array of their size.  Every other temporary is at most
     a chunk, and each chunk's rows are packed by one ``np.packbits``
     into the low bytes of a 4-byte little-endian word.  Few distinct
     numpy kernels are used: each one touched for the first time adds its
@@ -594,46 +601,36 @@ def _message(bucket, scope: Sequence[int], p: int, full: int, deadline: _Deadlin
     # a block of colors of the axis before them; earlier axes are looped
     # over.
     grid = scope[1:]
-    lead, block, trail = grid[: max(0, d - k - 1)], grid[d - k - 1 : d - k], grid[d - k :]
+    lead, block = grid[: max(0, d - k - 1)], grid[d - k - 1 : d - k]
     step = min(p, _CHUNK_CELLS // p**k) if block else 1
     axis = {r: a for a, r in enumerate(grid)}
-    const, views, gathered = full, {}, []
+    views = {}
     for (fscope, tab) in bucket:
         if fscope[0] == scope[0]:
             over = fscope[1:]
-            if not over:
-                const &= int(tab)
-                continue
-        elif len(fscope) == 1:
-            m = int(tab)
-            over, tab = fscope, np.array([(m << t | m >> (p - t)) & full for t in range(p)], dtype=np.uint32)
         else:
-            gathered.append((fscope, tab))
-            continue
+            # One axis per member of fscope, its anchor's color t first:
+            # tab[(x - t) mod p] rotated by t.
+            over = fscope
+            t, *x = np.ix_(*[np.arange(p, dtype=np.uint32)] * len(fscope))
+            tab = tab[tuple((c + p - t) % p for c in x)]
+            high = tab >> (p - t)
+            tab <<= t
+            tab |= high  # bits >= p: cleared by the join
         axes = tuple(axis[r] for r in over)
         view = tab.reshape([p if a in axes else 1 for a in range(d)])
         views[axes] = views[axes] & view if axes in views else view
-    coord = {}
-    for a, r in enumerate(trail):
-        coord[r] = np.arange(p, dtype=np.uint32).reshape([p if i == a + 1 else 1 for i in range(k + 1)])
     out = np.zeros((p ** max(0, d - 1), 4), dtype=np.uint8)
     for i, prefix in enumerate(itertools.product(range(p), repeat=len(lead))):
-        coord.update(zip(lead, prefix))
         for lo in range(0, p if block else 1, step):
             deadline.check_clock()
             hi = min(lo + step, p)
-            if block:
-                coord[block[0]] = np.arange(lo, hi, dtype=np.uint32).reshape((-1,) + (1,) * k)
-            joined = np.full((hi - lo,) + (p,) * k, const, dtype=np.uint32)
+            joined = np.full((hi - lo,) + (p,) * k, full, dtype=np.uint32)
             for view in views.values():
                 ix = [x if n > 1 else 0 for x, n in zip(prefix, view.shape)]
                 if block:
                     ix.append(slice(lo, hi) if view.shape[len(lead)] > 1 else slice(None))
                 joined &= view[tuple(ix)]
-            for (fscope, tab) in gathered:
-                t = coord[fscope[0]]
-                val = tab[tuple((coord[r] + p - t) % p for r in fscope[1:])]
-                joined &= val << t | val >> (p - t)  # bits >= p: cleared by the join
             rows = np.packbits(joined.reshape(-1, p if d else 1) != 0, axis=-1, bitorder="little")
             at = (i * p + lo) * p ** max(0, k - 1)
             out[at : at + len(rows), : rows.shape[1]] = rows

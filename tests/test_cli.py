@@ -266,6 +266,26 @@ class TestUsage:
         assert "line 2" in err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# nothing but a comment\n", "empty graph file"),
+            ("3\n", "line 1: expected 'n m'"),
+            ("2 x\n", "line 1: expected integers 'n m'"),
+            ("2 1\n0 b +\n", "line 2: bad vertex index"),
+            ("2 1\n0 2 +\n", "line 2: vertex out of range"),
+            ("-1 0\n", "vertex count must be nonnegative"),
+        ],
+        ids=["empty", "header-fields", "header-integers", "vertex-index", "vertex-range", "negative-count"],
+    )
+    def test_malformed_graph_is_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.sg"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "chi-c", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv", [("chi-c",), ("check-hom", "10", "3"), ("critical-check", "10", "3")]
     )
     def test_nan_deadline(self, tmp_path, capsys, argv):
@@ -300,8 +320,11 @@ class TestUsage:
             ("0 1\n1 2.5\n", "line 2: expected integers"),
             ("0 1\n\n0 2\n1 1\n", "line 3: vertex 0 already colored on line 1"),
             ("# labels\n1 1\n0 2\n1 -1\n", "line 4: vertex 1 already colored on line 2"),
+            ("0 1 2\n1 1\n", "line 1: expected 'v c'"),
+            ("0 1\n2 1\n", "line 2: vertex 2 out of range"),
+            ("0 0\n1 1\n", "line 1: color label 0 not in +-1..+-5"),
         ],
-        ids=["letter", "fraction", "repeat", "repeat-after-comment"],
+        ids=["letter", "fraction", "repeat", "repeat-after-comment", "fields", "vertex-range", "label-zero"],
     )
     def test_malformed_coloring_reports_line(self, tmp_path, capsys, text, where):
         gpath = write_graph(tmp_path, "digon.sg", build("DIGON").graph)
@@ -311,3 +334,20 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: line") and where in err
+
+    @pytest.mark.parametrize(
+        "text, params, message",
+        [
+            ("0 12\n1 1\n", ("--p", "12", "--q", "5"), "line 1: color 12 out of range"),
+            ("0 1\n", (), "coloring missing vertices [1]"),
+        ],
+        ids=["color-range", "missing-vertex"],
+    )
+    def test_coloring_out_of_range_or_incomplete(self, tmp_path, capsys, text, params, message):
+        gpath = write_graph(tmp_path, "digon.sg", build("DIGON").graph)
+        cpath = tmp_path / "bad.coloring"
+        cpath.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify-coloring", gpath, str(cpath), *params)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"

@@ -92,6 +92,11 @@ class TestFindHom:
         with pytest.raises(NegativeLoopError):
             find_sp_hom(make_graph(1, [(0, 0, NEG)]), P103)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_domains_of_the_wrong_length_rejected(self, count):
+        with pytest.raises(ValueError, match="one domain mask per vertex"):
+            find_sp_hom(build("DIGON").graph, P103, domains=[(1 << 10) - 1] * count)
+
     def test_witnesses_always_verify(self):
         rng = random.Random(41)
         for _ in range(300):
@@ -108,6 +113,9 @@ class TestEnumerateHoms:
 
     def test_digon_empty(self):
         assert list(enumerate_homs(build("DIGON").graph, P103)) == []
+
+    def test_negative_loop_empty(self):
+        assert list(enumerate_homs(make_graph(2, [(0, 1, POS), (1, 1, NEG)]), P103)) == []
 
     def test_t_all_surjective_on_classes(self):
         g = build("T").graph
@@ -660,7 +668,9 @@ def assert_same_message(got, want):
 
 
 def function_kind(fscope, scope):
-    """How solver._message reads the function over fscope in a bucket over scope."""
+    """What the function over fscope is in a bucket over scope: anchored at
+    scope[0] with more members ("anchored") or none ("constant"), or
+    anchored elsewhere with one member ("single") or several ("gathered")."""
     if fscope[0] == scope[0]:
         return "anchored" if len(fscope) > 1 else "constant"
     return "single" if len(fscope) == 1 else "gathered"
@@ -743,6 +753,10 @@ def random_bucket(p, d, counts, density, seed):
 @example(p=2, d=17, counts=(2, 3, 3), density=0.95, seed=1)
 @example(p=10, d=6, counts=(3, 3, 3), density=0.95, seed=2)
 @example(p=32, d=4, counts=(3, 3, 3), density=0.95, seed=3)
+# At the widest mask (a uint32 shift by 32 at t = 0), a function anchored
+# off the grid's anchor over all four grid axes: the largest expansion,
+# 32**4 = _MAX_GRID_CELLS cells.
+@example(p=32, d=4, counts=(1, 1, 1), density=0.3, seed=2)
 def test_join_kernel_matches_reference(p, d, counts, density, seed):
     d %= 1 + max(e for e in range(21) if p**e <= solver._MAX_GRID_CELLS)
     bucket, scope = random_bucket(p, d, counts, density, seed)
