@@ -23,8 +23,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .clique import CliqueParams, color_from_label, label_from_color, neighbor_mask
 from .core import NEG, POS, SignedMultigraph
 from .solver import Homomorphism, find_sp_hom
@@ -101,15 +99,34 @@ def is_interval(colors) -> Optional[Interval]:
     return None
 
 
-# -- bit tables, built once at import --------------------------------------
+# -- bit tables ---------------------------------------------------------------
+#
+# NEIGH, TRIANGLES, DIHEDRAL and the family orbits are plain tuples and
+# sets, built at import.  The numpy tables NBR_POS, NBR_NEG, NBR, POPCNT,
+# MASKS_BY_SIZE and BIPARTITE_NEG are built on first use by _load_tables,
+# which also binds np: importing numpy costs more than the rest of the
+# package together, and most processes run no numpy lemma.  The functions
+# that callers reach directly and that read np or a numpy table call
+# _load_tables at their start (verify_list_lemma, classify_neg_tri_exception,
+# _c4_colorable, _third_colors, _neg_tri_family); once the tables are built
+# it returns at once.  The module __getattr__ serves the tables to readers
+# outside the module.
 
-NEIGH = {s: tuple(neighbor_mask(P103, c, s) for c in range(10)) for s in (POS, NEG)}
+
+def _neighborhoods() -> dict[int, tuple[int, ...]]:
+    return {s: tuple(neighbor_mask(P103, c, s) for c in range(10)) for s in (POS, NEG)}
 
 
-# The tables below are built by plain list passes and converted once:
-# numpy operations would be faster still, but the first use of each
-# numpy kernel maps its code into every process that imports this
-# module, about 0.5 MB in all, and most processes never use these.
+NEIGH = _neighborhoods()
+
+# The ten negative triangles of the clique: color triples with pairwise
+# cyclic distance >= 3 are exactly the rotations of {0, 3, 6}.
+TRIANGLES = tuple((x, (x + 3) % 10, (x + 6) % 10) for x in range(10))
+
+
+# The numpy tables are built by plain list passes and converted once, so
+# building them maps no numpy kernel but array conversion into the process
+# (the first use of each kernel maps its code, about 0.5 MB in all).
 
 
 def _unions(row: Sequence[int]) -> list[int]:
@@ -122,24 +139,11 @@ def _unions(row: Sequence[int]) -> list[int]:
     return out
 
 
-# Per mask, the union of the sign-neighborhoods of its colors.
-NBR_POS = np.array(_unions(NEIGH[POS]), dtype=np.int64)
-NBR_NEG = np.array(_unions(NEIGH[NEG]), dtype=np.int64)
-NBR = {POS: NBR_POS, NEG: NBR_NEG}
-POPCNT = np.array([bin(m).count("1") for m in range(1 << 10)], dtype=np.int64)
-
-# The ten negative triangles of the clique: color triples with pairwise
-# cyclic distance >= 3 are exactly the rotations of {0, 3, 6}.
-TRIANGLES = tuple((x, (x + 3) % 10, (x + 6) % 10) for x in range(10))
-
 def _masks_by_size() -> tuple[np.ndarray, ...]:
     by_size: list[list[int]] = [[] for _ in range(11)]
     for m, k in enumerate(POPCNT.tolist()):
         by_size[k].append(m)
     return tuple(np.array(ms, dtype=np.int64) for ms in by_size)
-
-
-MASKS_BY_SIZE = _masks_by_size()
 
 
 def _bipartite_neg() -> np.ndarray:
@@ -166,7 +170,35 @@ def _bipartite_neg() -> np.ndarray:
     return np.array(out, dtype=bool)
 
 
-BIPARTITE_NEG = _bipartite_neg()
+_TABLES = ("NBR_POS", "NBR_NEG", "NBR", "POPCNT", "MASKS_BY_SIZE", "BIPARTITE_NEG")
+_tables_built = False
+
+
+def _load_tables() -> None:
+    """Import numpy and build the numpy tables, once per process.  They
+    come from the clique itself, not from NEIGH, so a table does not
+    depend on when it is first used."""
+    global np, NBR_POS, NBR_NEG, NBR, POPCNT, MASKS_BY_SIZE, BIPARTITE_NEG, _tables_built
+    if _tables_built:
+        return
+    import numpy as np
+
+    neigh = _neighborhoods()
+    # Per mask, the union of the sign-neighborhoods of its colors.
+    NBR_POS = np.array(_unions(neigh[POS]), dtype=np.int64)
+    NBR_NEG = np.array(_unions(neigh[NEG]), dtype=np.int64)
+    NBR = {POS: NBR_POS, NEG: NBR_NEG}
+    POPCNT = np.array([bin(m).count("1") for m in range(1 << 10)], dtype=np.int64)
+    MASKS_BY_SIZE = _masks_by_size()
+    BIPARTITE_NEG = _bipartite_neg()
+    _tables_built = True
+
+
+def __getattr__(name: str):
+    if name in _TABLES:
+        _load_tables()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _dihedral_maps() -> list[tuple[int, ...]]:
@@ -223,6 +255,7 @@ def classify_neg_tri_exception(lu: int, lv: int, lw: int) -> Optional[int]:
     sizes = sorted(bin(m).count("1") for m in (lu, lv, lw))
     if sum(sizes) != 18:
         raise ValueError("family classification expects list sizes summing to 18")
+    _load_tables()
     if sizes[0] == 0:
         return 1
     if lu == lv == lw and BIPARTITE_NEG[lu]:
@@ -419,6 +452,7 @@ def _verify_p3_sum13() -> LemmaReport:
 
 def _c4_colorable(l1: int, l2: int, l3: int, l4: int) -> bool:
     """4-cycle v1 v2 v3 v4 with v3 v4 positive and the rest negative."""
+    _load_tables()
     for c4 in range(10):
         if not (l4 >> c4 & 1):
             continue
@@ -501,6 +535,7 @@ def _verify_two_vertex() -> LemmaReport:
 def _third_colors() -> np.ndarray:
     """third[x, v]: the colors z for which (x, y, z) is an ordered
     transversal of a negative triangle, for some color y in the mask v."""
+    _load_tables()
     rows = []
     for x in range(10):
         row = [0] * 10  # row[y]: the third colors of the triangles on x and y
@@ -524,6 +559,7 @@ def _third_list_reach(third: np.ndarray, lu: np.ndarray, lv: np.ndarray) -> np.n
 
 def _neg_tri_family(a: int, b: int, c: int) -> list[tuple[int, int, int]]:
     """The family triples (lu, lv, lw) with list sizes (a, b, c)."""
+    _load_tables()
     if 0 in (a, b, c):  # family (1)
         return list(itertools.product(*(MASKS_BY_SIZE[k].tolist() for k in (a, b, c))))
     if (a, b, c) == (6, 6, 6):  # family (2)
@@ -614,10 +650,14 @@ LEMMA_IDS = tuple(_LEMMA_VERIFIERS)
 
 def verify_list_lemma(lemma_id: str) -> LemmaReport:
     """Exhaustively check one list lemma; the report's failure list is
-    empty iff the lemma held over its whole hypothesis space."""
+    empty iff the lemma held over its whole hypothesis space.
+
+    ``elapsed_s`` times the whole call: when the numpy tables are not
+    built yet, it includes importing numpy and building them."""
     if lemma_id not in _LEMMA_VERIFIERS:
         raise KeyError(f"unknown lemma id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
     t0 = time.monotonic()
+    _load_tables()
     rep = _LEMMA_VERIFIERS[lemma_id]()
     rep.elapsed_s = time.monotonic() - t0
     return rep

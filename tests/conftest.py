@@ -4,15 +4,22 @@ Everything here deliberately avoids the library's search and bit-table
 machinery: adjacency is recomputed from the raw distance clauses, and
 homomorphism existence is decided by sweeping the full product space
 with numpy boolean tensors.  Tests compare the fast paths against these.
+``run_fresh`` runs code in a new interpreter, for checks of what a
+process imports or builds first.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
+import sgchrom
 from sgchrom.core import NEG, POS, SignedMultigraph
 
 
@@ -210,3 +217,11 @@ def closure(n: int, gens) -> list:
                 group.add(y)
                 stack.append(y)
     return sorted(group)
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout's
+    sgchrom; return its stdout."""
+    src = str(Path(sgchrom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout

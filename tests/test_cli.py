@@ -1,12 +1,15 @@
 import io
 import json
 import sys
+import textwrap
 
 import pytest
 
 from sgchrom.cli import EXIT_INCONCLUSIVE, EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
 from sgchrom.catalog import build
 from sgchrom.core import NEG, format_graph_text, make_graph
+
+from conftest import run_fresh
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +117,45 @@ class TestCatalog:
         code, out, err = run_cli(capsys, "emit", "NOPE")
         assert code == EXIT_USAGE
         assert (out, err) == ("", "error: unknown catalog name 'NOPE'\n")
+
+
+def numpy_modules_after(code):
+    """The numpy modules a fresh interpreter has loaded after running
+    ``code`` with its stdout discarded."""
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        + textwrap.indent(code, "    ")
+        + "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')))\n"
+    )
+    return json.loads(run_fresh(probe))
+
+
+class TestNumpyStaysUnloaded:
+    """Only bucket elimination and the numpy lemmas import numpy, so a
+    command that runs neither never maps its code."""
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import sgchrom.cli",
+            "import sgchrom.lists",
+            "import sgchrom.campaigns",
+            "from sgchrom import cli\nassert cli.main(['campaign', 'T_SURJECTIVE']) == 0",
+        ],
+        ids=["import-cli", "import-lists", "import-campaigns", "campaign-T_SURJECTIVE"],
+    )
+    def test_unloaded(self, code):
+        assert numpy_modules_after(code) == []
+
+    def test_chi_c_on_t(self, tmp_path):
+        path = write_graph(tmp_path, "t.sg", build("T").graph)
+        assert numpy_modules_after(f"from sgchrom import cli\nassert cli.main(['chi-c', {path!r}]) == 0") == []
+
+    def test_numpy_lemma_loads_it(self):
+        # The probe can tell: a numpy lemma does load numpy.
+        code = "from sgchrom import cli\nassert cli.main(['verify-lemma', 'UNION_X4']) == 0"
+        assert "numpy" in numpy_modules_after(code)
 
 
 class TestLemmaAndCampaign:

@@ -1,12 +1,9 @@
 import heapq
 import itertools
-import os
 import random
-import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +15,6 @@ from sgchrom.campaigns import EnumSpec, enumerate_signed
 from sgchrom.catalog import apply_indicator, build, hajos_graph, negative_cycle
 from sgchrom.catalog import names as catalog_names
 from sgchrom.clique import CliqueParams, antipode, neighbor_mask
-import sgchrom
 from sgchrom import solver
 from sgchrom.core import NEG, POS, SignedMultigraph, components, make_graph, relabel, switch
 from sgchrom.solver import (
@@ -35,7 +31,7 @@ from sgchrom.solver import (
     verify_hom,
 )
 
-from conftest import oracle_colorable, oracle_count_homs, random_signed_graph
+from conftest import oracle_colorable, oracle_count_homs, random_signed_graph, run_fresh
 
 P103 = CliqueParams(10, 3)
 
@@ -953,11 +949,8 @@ def test_embeddings_match_set_based_reference(monkeypatch):
 def test_package_import_leaves_numpy_unloaded():
     # Only bucket elimination uses numpy, and it imports it when it runs,
     # so a process that never eliminates never maps numpy's code.
-    src = str(Path(sgchrom.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, sgchrom; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
 
 
 # -- chi_c's min-fill elimination order ----------------------------------------
