@@ -947,8 +947,8 @@ def test_embeddings_match_set_based_reference(monkeypatch):
 
 
 def test_package_import_leaves_numpy_unloaded():
-    # Only bucket elimination uses numpy, and it imports it when it runs,
-    # so a process that never eliminates never maps numpy's code.
+    # Only bucket elimination and the list lemmas use numpy, and each
+    # imports it when it runs, so importing the package maps none of it.
     code = "import sys, sgchrom; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     assert run_fresh(code).strip() == "[]"
 
