@@ -20,12 +20,13 @@ fits).  Each elimination function is stored once per rotation class:
 rotating every color is an automorphism of the clique, and only the
 roots are pinned, so a function is known from its values with its first
 argument at color 0.  That divides the work and the memory of
-elimination by p.  A join reads a function in one of two ways: one
-anchored at the grid's anchor as a broadcast view of its table, any
-other as a view of its expansion, made once per message with its
-anchor's color on a leading axis and its masks rotated to match.  Each
-chunk of the grid slices those views and is packed into message masks
-by one ``np.packbits`` call.
+elimination by p.  Each message is one join over its whole grid,
+which reads a function in one of two ways: one anchored at the grid's
+anchor as a broadcast view of its table, any other as a view of its
+expansion, made with its anchor's color on a leading axis and its masks
+rotated to match.  Every temporary of a message is at most one grid of
+at most 2**20 cells, and the grid is packed into message masks by one
+``np.packbits`` call.
 
 Both deciders return the same witness, the lexicographically first
 coloring in the static order with every root at color 0: forward
@@ -365,9 +366,6 @@ _MAX_GRID_CELLS = 1 << 20
 # Masks are uint32, so p <= 32; the bits a rotation shifts past bit 31
 # lie at or above p, where the join drops them anyway.
 _MAX_ELIMINATION_P = 32
-# Cells per chunk of a join grid: 64 KB per temporary.  Larger chunks cost
-# resident memory, smaller ones Python loop overhead.
-_CHUNK_CELLS = 1 << 14
 
 
 def _plan(order: Sequence[int], tables, p: int) -> Optional[list[list[int]]]:
@@ -575,36 +573,27 @@ def _message(bucket, scope: Sequence[int], p: int, full: int, deadline: _Deadlin
     Functions are read in two ways.  One anchored at scope[0] is already
     in grid coordinates, its anchor being at color 0: its table is
     reshaped to a view that broadcasts over the grid (a 0-d one over
-    every axis).  Any other, over a scope S, is expanded once per
-    message to one axis per member of S, its anchor's color t first:
-    the table read at the other members' colors shifted back by t, each
-    mask rotated by t.  That is the join's one mask rotation; the
-    expansion is then a view like the first kind.  Views over the same
-    axes are joined once, here; each chunk then slices them.
+    every axis).  Any other, over a scope S, is expanded to one axis per
+    member of S, its anchor's color t first: the table read at the other
+    members' colors shifted back by t, each mask rotated by t.  That is
+    the join's one mask rotation; the expansion is then a view like the
+    first kind, and is freed before the next one is made.
 
-    An expansion has p ** |S| cells, the size of the grid of the bucket
-    that sent it, so at most _MAX_GRID_CELLS; it is made with one
-    temporary of its size, and joining two views over the same axes
-    also makes an array of their size.  Every other temporary is at most
-    a chunk, and each chunk's rows are packed by one ``np.packbits``
-    into the low bytes of a 4-byte little-endian word.  Few distinct
+    The grid has at most _MAX_GRID_CELLS cells and is joined whole, each
+    function &-ed in once.  No temporary is larger than one grid: an
+    expansion has p ** |S| cells, the size of the grid of the bucket that
+    sent it, and is made beside one temporary of its size.  The cells
+    where some color survives are packed by one ``np.packbits`` into the
+    low bytes of a 4-byte little-endian word per row.  Few distinct
     numpy kernels are used: each one touched for the first time adds its
     code pages to the resident set.
     """
     import numpy as np
 
+    deadline.check_clock()
     d = len(scope) - 1
-    k = d
-    while p**k > _CHUNK_CELLS:
-        k -= 1
-    # A chunk spans the last k axes of the grid and, when there are more,
-    # a block of colors of the axis before them; earlier axes are looped
-    # over.
-    grid = scope[1:]
-    lead, block = grid[: max(0, d - k - 1)], grid[d - k - 1 : d - k]
-    step = min(p, _CHUNK_CELLS // p**k) if block else 1
-    axis = {r: a for a, r in enumerate(grid)}
-    views = {}
+    axis = {r: a for a, r in enumerate(scope[1:])}
+    joined = np.full((p,) * d, full, dtype=np.uint32)
     for (fscope, tab) in bucket:
         if fscope[0] == scope[0]:
             over = fscope[1:]
@@ -617,23 +606,12 @@ def _message(bucket, scope: Sequence[int], p: int, full: int, deadline: _Deadlin
             high = tab >> (p - t)
             tab <<= t
             tab |= high  # bits >= p: cleared by the join
+            del high  # so the next expansion is made beside one temporary, not two
         axes = tuple(axis[r] for r in over)
-        view = tab.reshape([p if a in axes else 1 for a in range(d)])
-        views[axes] = views[axes] & view if axes in views else view
-    out = np.zeros((p ** max(0, d - 1), 4), dtype=np.uint8)
-    for i, prefix in enumerate(itertools.product(range(p), repeat=len(lead))):
-        for lo in range(0, p if block else 1, step):
-            deadline.check_clock()
-            hi = min(lo + step, p)
-            joined = np.full((hi - lo,) + (p,) * k, full, dtype=np.uint32)
-            for view in views.values():
-                ix = [x if n > 1 else 0 for x, n in zip(prefix, view.shape)]
-                if block:
-                    ix.append(slice(lo, hi) if view.shape[len(lead)] > 1 else slice(None))
-                joined &= view[tuple(ix)]
-            rows = np.packbits(joined.reshape(-1, p if d else 1) != 0, axis=-1, bitorder="little")
-            at = (i * p + lo) * p ** max(0, k - 1)
-            out[at : at + len(rows), : rows.shape[1]] = rows
+        joined &= tab.reshape([p if a in axes else 1 for a in range(d)])
+    rows = np.packbits(joined.reshape(-1, p if d else 1) != 0, axis=-1, bitorder="little")
+    out = np.zeros((len(rows), 4), dtype=np.uint8)
+    out[:, : rows.shape[1]] = rows
     return out.view("<u4").reshape(-1).astype(np.uint32, copy=False)
 
 

@@ -2,6 +2,7 @@ import heapq
 import itertools
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -603,8 +604,8 @@ class TestBucketElimination:
 
     def test_deadline_fires_inside_elimination(self, monkeypatch):
         # A clock that stands still until elimination starts, then jumps
-        # past the deadline: the next read, per chunk of the join grid,
-        # must stop the elimination.
+        # past the deadline: the next read, once per message, must stop
+        # the elimination.
         now = [0.0]
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: now[0]))
         real = solver._eliminate
@@ -621,15 +622,18 @@ class TestBucketElimination:
 
 
 def reference_message(bucket, scope, p, full, deadline):
-    """The join kernel that read every function by indexing with one
-    broadcast array per axis and packed each chunk one color at a time."""
+    """The join kernel that walked the grid in chunks of 2**14 cells, read
+    every function by indexing with one broadcast array per axis and
+    packed each chunk one color at a time.  Its chunk size is its own, so
+    it shares no constant with solver._message."""
+    chunk_cells = 1 << 14
     d = len(scope) - 1
     k = d
-    while p**k > solver._CHUNK_CELLS:
+    while p**k > chunk_cells:
         k -= 1
     grid = scope[1:]
     lead, block, trail = grid[: max(0, d - k - 1)], grid[d - k - 1 : d - k], grid[d - k :]
-    step = min(p, solver._CHUNK_CELLS // p**k) if block else 1
+    step = min(p, chunk_cells // p**k) if block else 1
     coord = {scope[0]: 0}
     for a, r in enumerate(trail):
         coord[r] = np.arange(p, dtype=np.uint32).reshape([p if i == a + 1 else 1 for i in range(k + 1)])
@@ -743,12 +747,16 @@ def random_bucket(p, d, counts, density, seed):
     density=st.sampled_from((0.3, 0.7, 0.95)),
     seed=st.integers(0, 2**32 - 1),
 )
-# No grid axes (a single cell), and grids with lead axes, looped over
-# outside the chunks, at p = 2, 10 and 32.
+# No grid axes (a single cell), and grids with lead axes, which
+# reference_message loops over outside its chunks, at p = 2, 10 and 32.
 @example(p=16, d=0, counts=(3, 3, 3), density=0.7, seed=0)
 @example(p=2, d=17, counts=(2, 3, 3), density=0.95, seed=1)
 @example(p=10, d=6, counts=(3, 3, 3), density=0.95, seed=2)
 @example(p=32, d=4, counts=(3, 3, 3), density=0.95, seed=3)
+# Off-anchor functions at density 0.7, where enough joined cells are zero
+# that a wrong shift or rotation of an expansion changes the message.
+@example(p=32, d=3, counts=(2, 2, 2), density=0.7, seed=0)
+@example(p=16, d=4, counts=(2, 2, 2), density=0.7, seed=0)
 # At the widest mask (a uint32 shift by 32 at t = 0), a function anchored
 # off the grid's anchor over all four grid axes: the largest expansion,
 # 32**4 = _MAX_GRID_CELLS cells.
@@ -759,6 +767,22 @@ def test_join_kernel_matches_reference(p, d, counts, density, seed):
     full = (1 << p) - 1
     got = solver._message(bucket, scope, p, full, solver._Deadline(None))
     assert_same_message(got, reference_message(bucket, scope, p, full, solver._Deadline(None)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_join_kernel_memory(seed):
+    """A message over the largest grid, 32**4 = _MAX_GRID_CELLS cells,
+    holds fewer than four uint32 grids at once: the grid, one expansion
+    and the temporary that rotates it."""
+    bucket, scope = random_bucket(32, 4, (3, 3, 3), 0.7, seed)
+    grid_bytes = 4 * solver._MAX_GRID_CELLS
+    tracemalloc.start()
+    try:
+        solver._message(bucket, scope, 32, (1 << 32) - 1, solver._Deadline(None))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * grid_bytes
 
 
 @st.composite
@@ -1229,7 +1253,7 @@ class TestChiCHandOff:
     def refutations(self, monkeypatch):
         """Records (p, refuted) for each _narrow_refutes call, and
         "checkpoint" for each clock read of _search, which it makes every
-        _CHECK_NODES nodes (_message reads the clock too, once per chunk)."""
+        _CHECK_NODES nodes (_message reads the clock too, once per message)."""
         calls = []
         real_refutes, real_check = solver._narrow_refutes, solver._Deadline.check_clock
 
