@@ -25,8 +25,10 @@ which reads a function in one of two ways: one anchored at the grid's
 anchor as a broadcast view of its table, any other as a view of its
 expansion, made with its anchor's color on a leading axis and its masks
 rotated to match.  Every temporary of a message is at most one grid of
-at most 2**20 cells, and the grid is packed into message masks by one
-``np.packbits`` call.
+at most 2**20 cells.  Masks are held in the narrowest unsigned type that
+has p bits (uint8 up to p = 8, uint16 up to 16, uint32 up to 32), and
+one integer matrix product packs the grid's surviving colors into the
+message masks.
 
 Both deciders return the same witness, the lexicographically first
 coloring in the static order with every root at color 0: forward
@@ -363,9 +365,21 @@ def _search(order, domains, tables, deadline, elim_p=None, state=None) -> Iterat
 # Largest join grid (cells, after the rotation quotient) elimination accepts;
 # a graph whose plan needs more stays on FC-CBJ.
 _MAX_GRID_CELLS = 1 << 20
-# Masks are uint32, so p <= 32; the bits a rotation shifts past bit 31
-# lie at or above p, where the join drops them anyway.
+# Masks are held in _mask_type(p), the narrowest unsigned type with p
+# bits, and the widest is uint32, so p <= 32.  The bits a rotation shifts
+# past the top of the type lie at or above p, where the join drops them
+# anyway.
 _MAX_ELIMINATION_P = 32
+# _expansion's read-only arrays by (p, k), filled by _message on first use.
+_EXPANSIONS: dict[tuple[int, int], tuple] = {}
+
+
+def _mask_type(p: int):
+    """The numpy type of elimination masks at p colors: the narrowest
+    unsigned type that holds p bits."""
+    import numpy as np
+
+    return np.min_scalar_type((1 << p) - 1)
 
 
 def _plan(order: Sequence[int], tables, p: int) -> Optional[list[list[int]]]:
@@ -517,11 +531,12 @@ def _send_messages(order, tables, parents, p: int, deadline: _Deadline) -> Optio
 
     pos = {v: i for i, v in enumerate(order)}
     full = (1 << p) - 1
+    mask = _mask_type(p)
     buckets: list[list] = [[] for _ in order]
     for (a, b), tab in tables.items():
         i, j = pos[a], pos[b]
         if i < j:
-            buckets[j].append(((i,), np.array(tab[0], dtype=np.uint32)))
+            buckets[j].append(((i,), np.array(tab[0], dtype=mask)))
     for j in range(len(order) - 1, 0, -1):
         scope = parents[j]
         if not scope:
@@ -561,6 +576,28 @@ def _eliminate(order, tables, parents, p: int, deadline: _Deadline) -> Optional[
     return colors
 
 
+def _expansion(p: int, k: int):
+    """The index arrays that expand a function over k positions anchored
+    off its grid's anchor: ``t``, its anchor's color on the leading axis
+    of k, ``p - t``, and the tuple of the other members' colors shifted
+    back by t, ``(c + p - t) % p``, one array per member.
+
+    They depend only on p and k, so each is made once, read-only, and
+    kept in _EXPANSIONS.  Every array has p cells on at most two axes.
+    """
+    got = _EXPANSIONS.get((p, k))
+    if got is None:
+        import numpy as np
+
+        t, *x = np.ix_(*[np.arange(p, dtype=_mask_type(p))] * k)
+        back = p - t
+        index = tuple(((c + back) % p).astype(np.intp) for c in x)
+        for a in (t, back, *index):
+            a.flags.writeable = False
+        got = _EXPANSIONS[(p, k)] = (t, back, index)
+    return got
+
+
 def _message(bucket, scope: Sequence[int], p: int, full: int, deadline: _Deadline):
     """Eliminate a bucket whose functions range over ``scope``.
 
@@ -568,32 +605,37 @@ def _message(bucket, scope: Sequence[int], p: int, full: int, deadline: _Deadlin
     color 0.  Returns, for len(scope) > 1, the message to scope[-1]'s
     bucket: one mask over scope[-1]'s colors per row of the grid, rows in
     row-major order.  For a single-member scope it returns one cell, 1
-    when the bucket is satisfiable at all and 0 when it is not.
+    when the bucket is satisfiable at all and 0 when it is not.  Masks
+    are of _mask_type(p) throughout.
 
     Functions are read in two ways.  One anchored at scope[0] is already
     in grid coordinates, its anchor being at color 0: its table is
     reshaped to a view that broadcasts over the grid (a 0-d one over
     every axis).  Any other, over a scope S, is expanded to one axis per
     member of S, its anchor's color t first: the table read at the other
-    members' colors shifted back by t, each mask rotated by t.  That is
-    the join's one mask rotation; the expansion is then a view like the
-    first kind, and is freed before the next one is made.
+    members' colors shifted back by t (index arrays from _expansion),
+    each mask rotated by t.  That is the join's one mask rotation; the
+    expansion is then a view like the first kind, and is freed before
+    the next one is made.
 
     The grid has at most _MAX_GRID_CELLS cells and is joined whole, each
     function &-ed in once.  No temporary is larger than one grid: an
     expansion has p ** |S| cells, the size of the grid of the bucket that
     sent it, and is made beside one temporary of its size.  The cells
-    where some color survives are packed by one ``np.packbits`` into the
-    low bytes of a 4-byte little-endian word per row.  Few distinct
-    numpy kernels are used: each one touched for the first time adds its
-    code pages to the resident set.
+    where some color survives are packed by one integer matrix product:
+    each row of p flags (one byte each) times the p weights 1 << c, which
+    sums to the row's mask in the mask type.  Few distinct numpy kernels
+    are used: each one touched for the first time adds its code pages to
+    the resident set, and each of the three mask types touches its own
+    set of them.
     """
     import numpy as np
 
     deadline.check_clock()
+    mask = _mask_type(p)
     d = len(scope) - 1
     axis = {r: a for a, r in enumerate(scope[1:])}
-    joined = np.full((p,) * d, full, dtype=np.uint32)
+    joined = np.full((p,) * d, full, dtype=mask)
     for (fscope, tab) in bucket:
         if fscope[0] == scope[0]:
             over = fscope[1:]
@@ -601,18 +643,17 @@ def _message(bucket, scope: Sequence[int], p: int, full: int, deadline: _Deadlin
             # One axis per member of fscope, its anchor's color t first:
             # tab[(x - t) mod p] rotated by t.
             over = fscope
-            t, *x = np.ix_(*[np.arange(p, dtype=np.uint32)] * len(fscope))
-            tab = tab[tuple((c + p - t) % p for c in x)]
-            high = tab >> (p - t)
+            t, back, index = _expansion(p, len(fscope))
+            tab = tab[index]
+            high = tab >> back
             tab <<= t
             tab |= high  # bits >= p: cleared by the join
             del high  # so the next expansion is made beside one temporary, not two
         axes = tuple(axis[r] for r in over)
         joined &= tab.reshape([p if a in axes else 1 for a in range(d)])
-    rows = np.packbits(joined.reshape(-1, p if d else 1) != 0, axis=-1, bitorder="little")
-    out = np.zeros((len(rows), 4), dtype=np.uint8)
-    out[:, : rows.shape[1]] = rows
-    return out.view("<u4").reshape(-1).astype(np.uint32, copy=False)
+    width = p if d else 1
+    alive = (joined.reshape(-1, width) != 0).view(np.uint8)
+    return alive @ (1 << np.arange(width, dtype=mask))
 
 
 def _first(edges, n: int, domains, tables, pin: int, deadline=None, elim_p=None, state=None) -> Optional[list[int]]:

@@ -661,10 +661,18 @@ def reference_message(bucket, scope, p, full, deadline):
     return out
 
 
-def assert_same_message(got, want):
-    assert got.dtype == want.dtype == np.uint32
+def mask_type(p):
+    """The narrowest unsigned numpy type that holds p bits."""
+    return np.min_scalar_type((1 << p) - 1)
+
+
+def assert_same_message(got, want, p):
+    """The kernel's message has its width's type and, widened to uint32,
+    the reference's bytes: the same mask values."""
+    assert got.dtype == mask_type(p)
+    assert want.dtype == np.uint32
     assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    assert got.astype(np.uint32).tobytes() == want.tobytes()
 
 
 def function_kind(fscope, scope):
@@ -677,14 +685,14 @@ def function_kind(fscope, scope):
 
 
 class TestJoinKernel:
-    """solver._message against reference_message, byte for byte."""
+    """solver._message against reference_message, mask for mask."""
 
     def checked_messages(self, monkeypatch):
         real, kinds = solver._message, []
 
         def spy(bucket, scope, p, full, deadline):
             got = real(bucket, scope, p, full, deadline)
-            assert_same_message(got, reference_message(bucket, scope, p, full, deadline))
+            assert_same_message(got, reference_message(bucket, scope, p, full, deadline), p)
             kinds.extend(function_kind(fscope, scope) for fscope, _ in bucket)
             return got
 
@@ -708,20 +716,22 @@ class TestJoinKernel:
         assert set(kinds) == {"constant", "anchored", "single", "gathered"}
 
 
-# p at and around packbits' byte boundaries, up to the largest p elimination takes.
-KERNEL_P = (2, 6, 8, 10, 16, 24, 30, 32)
+# The least and the largest even p of each mask width (uint8, uint16,
+# uint32), and some between, up to the largest p elimination takes.
+KERNEL_P = (2, 6, 8, 10, 16, 18, 24, 30, 32)
 
 
 def random_masks(rng, p, shape, density):
     bits = rng.random(shape + (p,)) < density
-    return (bits.astype(np.uint64) << np.arange(p, dtype=np.uint64)).sum(axis=-1).astype(np.uint32)
+    return (bits.astype(np.uint64) << np.arange(p, dtype=np.uint64)).sum(axis=-1).astype(mask_type(p))
 
 
 def random_bucket(p, d, counts, density, seed):
     """A scope of d + 1 positions and a bucket over it with counts[0]
     functions anchored at scope[0] (0-d ones included), counts[1]
     single-vertex functions elsewhere and counts[2] multi-vertex functions
-    anchored elsewhere, each over at most four positions."""
+    anchored elsewhere, each over at most four positions; its tables are
+    of the kernel's mask type at p."""
     rng = np.random.default_rng(seed)
     scope = sorted(int(r) for r in rng.choice(4 * d + 4, d + 1, replace=False))
     grid = scope[1:]
@@ -757,6 +767,9 @@ def random_bucket(p, d, counts, density, seed):
 # that a wrong shift or rotation of an expansion changes the message.
 @example(p=32, d=3, counts=(2, 2, 2), density=0.7, seed=0)
 @example(p=16, d=4, counts=(2, 2, 2), density=0.7, seed=0)
+# A uint8 mask shifted by its full width (8) at t = 0, as the two above do
+# for uint32 and uint16.
+@example(p=8, d=4, counts=(2, 2, 2), density=0.7, seed=0)
 # At the widest mask (a uint32 shift by 32 at t = 0), a function anchored
 # off the grid's anchor over all four grid axes: the largest expansion,
 # 32**4 = _MAX_GRID_CELLS cells.
@@ -766,23 +779,52 @@ def test_join_kernel_matches_reference(p, d, counts, density, seed):
     bucket, scope = random_bucket(p, d, counts, density, seed)
     full = (1 << p) - 1
     got = solver._message(bucket, scope, p, full, solver._Deadline(None))
-    assert_same_message(got, reference_message(bucket, scope, p, full, solver._Deadline(None)))
+    assert_same_message(got, reference_message(bucket, scope, p, full, solver._Deadline(None)), p)
+
+
+def message_peak(p, d, seed):
+    """The tracemalloc peak of one message over a random bucket on a grid
+    of p**d = _MAX_GRID_CELLS cells, in grids of its mask type."""
+    assert p**d == solver._MAX_GRID_CELLS
+    bucket, scope = random_bucket(p, d, (3, 3, 3), 0.7, seed)
+    tracemalloc.start()
+    try:
+        solver._message(bucket, scope, p, (1 << p) - 1, solver._Deadline(None))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (mask_type(p).itemsize * solver._MAX_GRID_CELLS)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_join_kernel_memory(seed):
     """A message over the largest grid, 32**4 = _MAX_GRID_CELLS cells,
     holds fewer than four uint32 grids at once: the grid, one expansion
-    and the temporary that rotates it."""
-    bucket, scope = random_bucket(32, 4, (3, 3, 3), 0.7, seed)
-    grid_bytes = 4 * solver._MAX_GRID_CELLS
-    tracemalloc.start()
-    try:
-        solver._message(bucket, scope, 32, (1 << 32) - 1, solver._Deadline(None))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * grid_bytes
+    and the temporary that rotates it, or, while packing, the grid, the
+    last expansion, the packing flags and their copy in the mask type."""
+    assert message_peak(32, 4, seed) < 4
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_join_kernel_memory_uint16(seed):
+    """The same bound at the narrow width: 16**5 = _MAX_GRID_CELLS cells
+    in fewer than four uint16 grids."""
+    assert message_peak(16, 5, seed) < 4
+
+
+def test_expansion_cache_is_read_only():
+    """_message keeps the index arrays of each off-anchor expansion for
+    reuse, so none of them may be written."""
+    bucket, scope = random_bucket(10, 3, (1, 1, 1), 0.7, 0)
+    solver._message(bucket, scope, 10, (1 << 10) - 1, solver._Deadline(None))
+    sizes = {len(fscope) for fscope, _ in bucket if fscope[0] != scope[0]}
+    assert sizes
+    for k in sizes:
+        t, back, index = solver._EXPANSIONS[(10, k)]
+        assert len(index) == k - 1
+        for a in (t, back, *index):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1
 
 
 @st.composite
