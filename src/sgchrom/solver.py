@@ -51,12 +51,18 @@ grids have p**3 cells instead of p**4.
 Two rules hand a search off (``core._embed`` and ``enumerate_homs``
 never do):
 
-1. A search of ``find_sp_hom``, each probe of ``chi_c`` included, hands
-   off at its own node _CHECK_NODES (2,048), its first clock
-   checkpoint, if a forward check has wiped out a domain by then.  It first tries the
-   min-fill refutation when that is still pending (rule 2) or no static
-   plan fits, then, if one fits, returns static elimination's answer.
-   Otherwise FC-CBJ carries on to the end.
+1. A plain search of ``find_sp_hom`` (one without chi_c's state) hands
+   off at its own node _HAND_OFF_NODES (256), a probe of ``chi_c`` at
+   its own node _CHECK_NODES (2,048), if a forward check has wiped out
+   a domain by then; that node is the search's first clock checkpoint.
+   It first tries the min-fill refutation when that is still pending
+   (rule 2) or no static plan fits, then, if one fits, returns static
+   elimination's answer.  Otherwise FC-CBJ carries on to the end.  On
+   the gadget graphs a plain search wipes out a domain within 32 nodes,
+   and FC-CBJ nodes past 256 only delay the same elimination.  A probe
+   hands off later: rule 2 already asks the min-fill refutation early,
+   and at node 256 the BROOKS campaign's probes would go to elimination
+   43 times instead of finishing on FC-CBJ.
 2. A probe of ``chi_c`` tries the min-fill refutation at most once: at
    its first dead end (a depth whose domain is exhausted) after its call
    has spent _CHECK_NODES FC-CBJ nodes, or at the hand-off if that comes
@@ -136,9 +142,12 @@ def verify_hom(g: SignedMultigraph, h: Homomorphism) -> bool:
     return True
 
 
-# FC-CBJ reads the clock every _CHECK_NODES nodes of its search; the two
-# hand-off rules of the module docstring count nodes against it too.
+# FC-CBJ reads the clock at its hand-off node and every _CHECK_NODES
+# nodes after it; the two hand-off rules of the module docstring count
+# nodes against these.  A chi_c probe hands off at node _CHECK_NODES,
+# every other search at node _HAND_OFF_NODES.
 _CHECK_NODES = 2048
+_HAND_OFF_NODES = 256
 
 
 class _Deadline:
@@ -251,13 +260,14 @@ def _search(order, domains, tables, deadline, elim_p=None, state=None) -> Iterat
 
     The search state lives in per-depth lists, not on the call stack:
     domains and their trails are read and written by depth, and the
-    pruning and conflict sets are bitmasks over depths.  Every
-    _CHECK_NODES nodes it reads the clock.  With ``elim_p`` (the
-    clique's p) given, it hands off by the two rules of the module
-    docstring, ``state`` being chi_c's _CallState: it stops with no
-    coloring when _narrow_refutes proves there is none, or yields
-    _eliminate's coloring, if there is one, and stops; that needs every
-    root pinned to color 0.
+    pruning and conflict sets are bitmasks over depths.  It reads the
+    clock at its hand-off node (_CHECK_NODES with ``state``,
+    _HAND_OFF_NODES without) and every _CHECK_NODES nodes after it.
+    With ``elim_p`` (the clique's p) given, it hands off by the two
+    rules of the module docstring, ``state`` being chi_c's _CallState:
+    it stops with no coloring when _narrow_refutes proves there is none,
+    or yields _eliminate's coloring, if there is one, and stops; that
+    needs every root pinned to color 0.
 
     ``tables`` covers exactly ``order``; ``domains`` is read once.
     """
@@ -279,7 +289,9 @@ def _search(order, domains, tables, deadline, elim_p=None, state=None) -> Iterat
     past_fc = [0] * n
     conf_set = [0] * n
     nodes = 0
-    next_check = _CHECK_NODES
+    # Rule 1: the node at which the search hands off, its first checkpoint.
+    hand_off = _HAND_OFF_NODES if state is None else _CHECK_NODES
+    next_check = hand_off
     # Rule 2: a chi_c probe's min-fill refutation is pending until tried,
     # at a dead end from our node refute_at, the call's _CHECK_NODES-th.
     pending = elim_p is not None and state is not None
@@ -299,7 +311,7 @@ def _search(order, domains, tables, deadline, elim_p=None, state=None) -> Iterat
                 if nodes == next_check:
                     next_check = nodes + _CHECK_NODES
                     deadline.check_clock()
-                    if nodes == _CHECK_NODES and wiped and elim_p is not None:  # rule 1
+                    if nodes == hand_off and wiped and elim_p is not None:  # rule 1
                         static = _plan(order, tables, elim_p)
                         if pending or (state is None and static is None):
                             if _narrow_refutes(order, tables, static, elim_p, deadline, state or _CallState()):

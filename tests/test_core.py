@@ -377,6 +377,7 @@ class TestSwitchingIsomorphism:
         from sgchrom import core, solver
 
         nodes = []
+        monkeypatch.setattr(solver, "_HAND_OFF_NODES", 1)
         monkeypatch.setattr(solver, "_CHECK_NODES", 1)
         monkeypatch.setattr(solver._Deadline, "check_clock", lambda self: nodes.append(1))
         neg, one = complete_pair(7)

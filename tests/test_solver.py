@@ -480,7 +480,7 @@ class TestComponentSetUp:
 
     def test_deadline_fires_across_components(self):
         # 1,500 two-vertex components, one node per vertex: the clock is
-        # read at the 2,048th node of the whole search.
+        # read at the 256th node of the whole search.
         with pytest.raises(SearchDeadlineExceeded):
             find_sp_hom(MATCHING, P103, deadline_s=1e-9)
 
@@ -563,6 +563,43 @@ class TestBucketElimination:
         fc, be = decide_both(g, (10, 3))
         assert hom == fc == be
         assert verify_hom(g, hom)
+
+    @pytest.mark.parametrize("name", ["k5", "density1-e0", "density1"])
+    def test_plain_search_hands_off_at_its_node_256(self, monkeypatch, name):
+        # The gadget workload's graphs at 10/3: a plain search first wipes
+        # out a domain within 32 nodes, reads the clock first at node 256
+        # and eliminates there once, with the answer of a hand-off at node
+        # _CHECK_NODES.  The DENSITY_FAMILY k = 1 member is not colorable;
+        # with edge 0 deleted it is.
+        density = apply_indicator(hajos_graph(1))
+        g = {
+            "k5": k5_indicator(),
+            "density1-e0": SignedMultigraph(density.n, density.edges[1:]),
+            "density1": density,
+        }[name]
+        events = []
+        real_check, real_eliminate = solver._Deadline.check_clock, solver._eliminate
+
+        def check_spy(deadline):
+            frame = sys._getframe(1)
+            if frame.f_code.co_name == "_search":
+                events.append(frame.f_locals["nodes"])
+            return real_check(deadline)
+
+        def eliminate_spy(*args):
+            events.append("eliminate")
+            return real_eliminate(*args)
+
+        monkeypatch.setattr(solver._Deadline, "check_clock", check_spy)
+        monkeypatch.setattr(solver, "_eliminate", eliminate_spy)
+        hom = find_sp_hom(g, P103)
+        assert events == [256, "eliminate"]
+        assert (hom is None) == (name == "density1")
+        assert hom is None or verify_hom(g, hom)
+        events.clear()
+        monkeypatch.setattr(solver, "_HAND_OFF_NODES", solver._CHECK_NODES)
+        assert find_sp_hom(g, P103) == hom
+        assert events == [2048, "eliminate"]
 
     def test_agrees_with_fc_cbj_on_disjoint_unions(self):
         # Two K5 indicators and a catalog graph, non-colorable (K4_MINUS)
@@ -855,9 +892,10 @@ def test_elimination_witness_is_fc_cbj_witness(g, pq):
 def reference_search(order, domains, tables, deadline, elim_p=None):
     """The FC-CBJ loop before its bookkeeping became bitmasks, plain
     callers' path only: pruning and conflict sets are Python sets of
-    depths, domains are read and written by vertex, and the hand-off
-    comes at node _CHECK_NODES, once a forward check has wiped out a
-    domain."""
+    depths, domains are read and written by vertex, the clock is read at
+    node _HAND_OFF_NODES and every _CHECK_NODES nodes after it, and the
+    hand-off comes at node _HAND_OFF_NODES, once a forward check has
+    wiped out a domain."""
     n = len(order)
     if not n:
         yield ()
@@ -874,7 +912,7 @@ def reference_search(order, domains, tables, deadline, elim_p=None):
     past_fc = [set() for _ in range(n)]
     conf_set = [set() for _ in range(n)]
     nodes = 0
-    next_check = solver._CHECK_NODES
+    next_check = solver._HAND_OFF_NODES
     wiped = False
     i = 0
     untried[0] = domains[order[0]]
@@ -888,7 +926,7 @@ def reference_search(order, domains, tables, deadline, elim_p=None):
             if nodes == next_check:
                 next_check += solver._CHECK_NODES
                 deadline.check_clock()
-                if elim_p is not None and wiped and nodes == solver._CHECK_NODES:
+                if elim_p is not None and wiped and nodes == solver._HAND_OFF_NODES:
                     static = solver._plan(order, tables, elim_p)
                     if static is None and solver._narrow_refutes(
                         order, tables, static, elim_p, deadline, solver._CallState()
@@ -964,18 +1002,39 @@ def small_multigraphs(draw, max_n=7):
 STREAM_CAP = 3000
 
 
+SEARCH_PQ = [(2, 1), (4, 1), (6, 2), (8, 3), (10, 3), (12, 5), (32, 9)]
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(small_multigraphs(), st.sampled_from([(2, 1), (4, 1), (6, 2), (8, 3), (10, 3), (12, 5), (32, 9)]))
+@given(small_multigraphs(), st.sampled_from(SEARCH_PQ))
 def test_search_matches_set_based_reference(g, pq):
     # The same colorings in the same order and the same clock reads, both
     # unpinned in vertex order (enumerate_homs) and pinned in the static
     # order with the hand-off armed (find_sp_hom without chi_c's state).
-    # At a checkpoint every 3 nodes the reads count the nodes, and most
-    # pinned searches hand off.
-    for check in (solver._CHECK_NODES, 3):
+    # With the hand-off and a checkpoint every 3 nodes the reads count
+    # the nodes, and a few pinned searches hand off.
+    for hand_off, check in ((solver._HAND_OFF_NODES, solver._CHECK_NODES), (3, 3)):
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_HAND_OFF_NODES", hand_off)
             mp.setattr(solver, "_CHECK_NODES", check)
             assert_same_search(g, pq)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(small_multigraphs(), st.sampled_from(SEARCH_PQ), st.integers(2, 8))
+def test_early_hand_off_decides_as_fc_cbj(g, pq, hand_off):
+    # A plain search handing off within its first few nodes answers as
+    # FC-CBJ run to completion on the same pinned search, witness
+    # included.  Few of these graphs wipe out a domain that early, so the
+    # node is drawn: at node 3 alone no colorable search hands off.
+    assume(not g.has_negative_loop)
+    pr = CliqueParams(*pq)
+    full = (1 << pr.p) - 1
+    colors = solver._first(g.edges, g.n, [full] * g.n, solver._pair_tables(g, pr), 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_HAND_OFF_NODES", hand_off)
+        hom = find_sp_hom(g, pr)
+    assert hom == (None if colors is None else Homomorphism(pr, tuple(colors)))
 
 
 def assert_same_search(g, pq):
@@ -1286,9 +1345,10 @@ def seeded_cubic_graphs():
 
 class TestChiCHandOff:
     """Each probe of a chi_c call hands off at its own node _CHECK_NODES,
-    as a plain search does; the call's node count only decides when a
-    probe asks the min-fill refutation: at its first dead end after the
-    call's _CHECK_NODES-th node, or at the hand-off."""
+    where a plain search hands off at its node _HAND_OFF_NODES; the
+    call's node count only decides when a probe asks the min-fill
+    refutation: at its first dead end after the call's _CHECK_NODES-th
+    node, or at the hand-off."""
 
     PETERSEN = build("PETERSEN").graph
 
@@ -1359,9 +1419,10 @@ class TestChiCHandOff:
         assert sum(map(bool, early)) == 24, early
 
     def test_probes_hand_off_as_plain_searches(self, monkeypatch):
-        # With the min-fill refutation failing, each probe runs as a plain
-        # find_sp_hom on its fraction: the same clock checkpoints, the
-        # same static eliminations and the same answer.
+        # With the min-fill refutation failing, each probe gives a plain
+        # find_sp_hom's answer on its fraction.  With _HAND_OFF_NODES at
+        # _CHECK_NODES it runs as that search: the same clock checkpoints
+        # and the same static eliminations.
         events = []
         real_find, real_eliminate, real_check = solver.find_sp_hom, solver._eliminate, solver._Deadline.check_clock
 
@@ -1381,7 +1442,10 @@ class TestChiCHandOff:
 
         def find_spy(g, params, **kwargs):
             probe = run(g, params, **kwargs)
-            assert probe == run(g, params), params
+            assert probe[1] == run(g, params)[1], params
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver, "_HAND_OFF_NODES", solver._CHECK_NODES)
+                assert probe == run(g, params), params
             return probe[1]
 
         monkeypatch.setattr(solver, "_narrow_refutes", lambda *args: False)
