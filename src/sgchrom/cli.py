@@ -1,7 +1,10 @@
 """Command-line interface.
 
-Every command writes a single JSON document (schema field included) to
-standard output; diagnostics go to standard error.  Exit codes:
+``catalog emit`` and ``emit`` write one graph in the text format of
+``core.format_graph_text`` to standard output.  Every other command
+writes one JSON document there (schema field included), or with
+``--format text`` the same fields as ``key: value`` lines.  Diagnostics
+go to standard error.  Exit codes:
 0 success / all checks passed, 1 mathematical failure (invalid coloring,
 lemma or campaign violation), 2 usage or input error (an unreadable or
 unwritable file included), 3 inconclusive (deadline hit before the

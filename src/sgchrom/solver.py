@@ -13,8 +13,8 @@ never crosses components, so they need no set-up of their own.
 
 ``find_sp_hom`` decides colorability exactly by taking that first
 coloring with each root pinned to color 0.  When no list domains are
-given and p <= 32, its search may hand off to bucket elimination
-(Dechter 1999) in the reverse of the same order, provided that the
+given, its search may hand off to bucket elimination (Dechter 1999) in
+the reverse of the same order, at any p, provided that the
 elimination's largest join grid has at most 2**20 cells (a static plan
 fits).  Each elimination function is stored once per rotation class:
 rotating every color is an automorphism of the clique, and only the
@@ -25,10 +25,10 @@ which reads a function in one of two ways: one anchored at the grid's
 anchor as a broadcast view of its table, any other as a view of its
 expansion, made with its anchor's color on a leading axis and its masks
 rotated to match.  Every temporary of a message is at most one grid of
-at most 2**20 cells.  Masks are held in the narrowest unsigned type that
-has p bits (uint8 up to p = 8, uint16 up to 16, uint32 up to 32), and
-one integer matrix product packs the grid's surviving colors into the
-message masks.
+at most 2**20 cells.  Masks are held in the narrowest numpy type that
+has p bits (uint8 up to p = 8, uint16 up to 16, uint32 up to 32, uint64
+up to 64, and past that object arrays of Python ints), and one integer
+matrix product packs the grid's surviving colors into the message masks.
 
 Both deciders return the same witness, the lexicographically first
 coloring in the static order with every root at color 0: forward
@@ -377,18 +377,16 @@ def _search(order, domains, tables, deadline, elim_p=None, state=None) -> Iterat
 # Largest join grid (cells, after the rotation quotient) elimination accepts;
 # a graph whose plan needs more stays on FC-CBJ.
 _MAX_GRID_CELLS = 1 << 20
-# Masks are held in _mask_type(p), the narrowest unsigned type with p
-# bits, and the widest is uint32, so p <= 32.  The bits a rotation shifts
-# past the top of the type lie at or above p, where the join drops them
-# anyway.
-_MAX_ELIMINATION_P = 32
 # _expansion's read-only arrays by (p, k), filled by _message on first use.
 _EXPANSIONS: dict[tuple[int, int], tuple] = {}
 
 
 def _mask_type(p: int):
     """The numpy type of elimination masks at p colors: the narrowest
-    unsigned type that holds p bits."""
+    unsigned type that holds p bits, up to uint64, and past 64 bits the
+    object type, whose cells are Python ints.  A rotation may leave bits
+    at or above p (below the top of a wider type, or anywhere in a Python
+    int); the join, which starts from the full mask, drops them."""
     import numpy as np
 
     return np.min_scalar_type((1 << p) - 1)
@@ -638,8 +636,7 @@ def _message(bucket, scope: Sequence[int], p: int, full: int, deadline: _Deadlin
     each row of p flags (one byte each) times the p weights 1 << c, which
     sums to the row's mask in the mask type.  Few distinct numpy kernels
     are used: each one touched for the first time adds its code pages to
-    the resident set, and each of the three mask types touches its own
-    set of them.
+    the resident set, and each mask type touches its own set of them.
     """
     import numpy as np
 
@@ -718,7 +715,7 @@ def find_sp_hom(
         if len(domains) != g.n:
             raise ValueError("need one domain mask per vertex")
         doms, pin = [int(d) & full for d in domains], full
-    elim_p = pr.p if domains is None and pr.p <= _MAX_ELIMINATION_P else None
+    elim_p = pr.p if domains is None else None
     colors = _first(g.edges, g.n, doms, _pair_tables(g, pr), pin, deadline_s, elim_p, _state)
     return None if colors is None else Homomorphism(pr, tuple(colors))
 

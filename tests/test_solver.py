@@ -432,12 +432,11 @@ def reference_find_sp_hom(g, pr):
     tables = solver._pair_tables(g, pr)
     doms = [(1 << pr.p) - 1] * g.n
     result = [0] * g.n
-    elim_p = pr.p if pr.p <= solver._MAX_ELIMINATION_P else None
     for comp in components(g.n, ((u, v) for (u, v, _) in g.edges)):
         order = reference_static_order(g, comp)
         comp_tables = {(a, b): tab for (a, b), tab in tables.items() if a in comp}
         doms[order[0]] = 1
-        sol = next(solver._search(order, doms, comp_tables, solver._Deadline(None), elim_p), None)
+        sol = next(solver._search(order, doms, comp_tables, solver._Deadline(None), pr.p), None)
         if sol is None:
             return None
         for v, c in zip(order, sol):
@@ -662,7 +661,8 @@ def reference_message(bucket, scope, p, full, deadline):
     """The join kernel that walked the grid in chunks of 2**14 cells, read
     every function by indexing with one broadcast array per axis and
     packed each chunk one color at a time.  Its chunk size is its own, so
-    it shares no constant with solver._message."""
+    it shares no constant with solver._message.  It computes in Python
+    ints (object arrays), so no mask width can overflow it."""
     chunk_cells = 1 << 14
     d = len(scope) - 1
     k = d
@@ -673,19 +673,19 @@ def reference_message(bucket, scope, p, full, deadline):
     step = min(p, chunk_cells // p**k) if block else 1
     coord = {scope[0]: 0}
     for a, r in enumerate(trail):
-        coord[r] = np.arange(p, dtype=np.uint32).reshape([p if i == a + 1 else 1 for i in range(k + 1)])
-    out = np.empty(p ** max(0, d - 1), dtype=np.uint32)
+        coord[r] = np.arange(p).reshape([p if i == a + 1 else 1 for i in range(k + 1)])
+    out = np.empty(p ** max(0, d - 1), dtype=object)
     for i, prefix in enumerate(itertools.product(range(p), repeat=len(lead))):
         coord.update(zip(lead, prefix))
         for lo in range(0, p if block else 1, step):
             deadline.check_clock()
             hi = min(lo + step, p)
             if block:
-                coord[block[0]] = np.arange(lo, hi, dtype=np.uint32).reshape((-1,) + (1,) * k)
-            joined = np.full((hi - lo,) + (p,) * k, full, dtype=np.uint32)
+                coord[block[0]] = np.arange(lo, hi).reshape((-1,) + (1,) * k)
+            joined = np.full((hi - lo,) + (p,) * k, full, dtype=object)
             for (fscope, tab) in bucket:
                 t = coord[fscope[0]]
-                val = tab[tuple((coord[r] + p - t) % p for r in fscope[1:])]
+                val = np.asarray(tab[tuple((coord[r] + p - t) % p for r in fscope[1:])]).astype(object)
                 if fscope[0] != scope[0]:
                     val = val << t | val >> (p - t)
                 joined &= val
@@ -704,12 +704,12 @@ def mask_type(p):
 
 
 def assert_same_message(got, want, p):
-    """The kernel's message has its width's type and, widened to uint32,
-    the reference's bytes: the same mask values."""
+    """The kernel's message has its width's type and, read as Python ints,
+    the reference's mask values."""
     assert got.dtype == mask_type(p)
-    assert want.dtype == np.uint32
+    assert want.dtype == object
     assert got.shape == want.shape
-    assert got.astype(np.uint32).tobytes() == want.tobytes()
+    assert got.astype(object).tolist() == want.tolist()
 
 
 def function_kind(fscope, scope):
@@ -754,13 +754,24 @@ class TestJoinKernel:
 
 
 # The least and the largest even p of each mask width (uint8, uint16,
-# uint32), and some between, up to the largest p elimination takes.
-KERNEL_P = (2, 6, 8, 10, 16, 18, 24, 30, 32)
+# uint32, uint64), some between, and two past 64 bits (Python ints).
+KERNEL_P = (2, 6, 8, 10, 16, 18, 24, 30, 32, 34, 64, 66, 100)
 
 
 def random_masks(rng, p, shape, density):
-    bits = rng.random(shape + (p,)) < density
-    return (bits.astype(np.uint64) << np.arange(p, dtype=np.uint64)).sum(axis=-1).astype(mask_type(p))
+    """Masks of p bits, each bit set with probability ``density``.  The
+    bits are drawn a block of cells at a time, so that no array holds
+    more than 2**20 of them, and packed into 64-bit words, so that no
+    width overflows; past 64 bits the words are joined as Python ints."""
+    cells = int(np.prod(shape))
+    step = max(1, (1 << 20) // p)
+    words = np.zeros((cells, -(-p // 64) * 8), dtype=np.uint8)
+    for lo in range(0, cells, step):
+        bits = rng.random((min(step, cells - lo), p)) < density
+        words[lo : lo + len(bits), : -(-p // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    words = words.view("<u8")
+    masks = words[:, 0] if p <= 64 else sum(words[:, w].astype(object) << 64 * w for w in range(words.shape[1]))
+    return masks.astype(mask_type(p)).reshape(shape)
 
 
 def random_bucket(p, d, counts, density, seed):
@@ -811,6 +822,14 @@ def random_bucket(p, d, counts, density, seed):
 # off the grid's anchor over all four grid axes: the largest expansion,
 # 32**4 = _MAX_GRID_CELLS cells.
 @example(p=32, d=4, counts=(1, 1, 1), density=0.3, seed=2)
+# Every kind of function over the largest grid of each width past uint32:
+# uint64 at both ends (at p = 64 a shift by the full width at t = 0) and
+# Python ints, up to 100**3 cells.  At density 0.3 a few percent of the
+# message bits survive, so a wrong rotation changes the message.
+@example(p=34, d=3, counts=(2, 2, 2), density=0.3, seed=2)
+@example(p=64, d=3, counts=(2, 2, 2), density=0.3, seed=2)
+@example(p=66, d=3, counts=(2, 2, 2), density=0.3, seed=2)
+@example(p=100, d=3, counts=(2, 2, 2), density=0.3, seed=2)
 def test_join_kernel_matches_reference(p, d, counts, density, seed):
     d %= 1 + max(e for e in range(21) if p**e <= solver._MAX_GRID_CELLS)
     bucket, scope = random_bucket(p, d, counts, density, seed)
@@ -849,6 +868,35 @@ def test_join_kernel_memory_uint16(seed):
     assert message_peak(16, 5, seed) < 4
 
 
+def test_join_kernel_memory_python_ints():
+    """Past 64 bits every cell of a grid holds its own Python int, so a
+    grid costs a pointer and an int of p bits per cell, not an itemsize.
+    PETERSEN's (100, 31) probe, which chi_c rejects, sends a min-fill
+    message over 100**3 cells; that message holds about one such grid at
+    once (0.98 when written), never two."""
+    g = build("PETERSEN").graph
+    messages = []
+    real = solver._message
+
+    def spy(bucket, scope, p, full, deadline):
+        messages.append((len(scope), bucket, scope))
+        return real(bucket, scope, p, full, deadline)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_message", spy)
+        assert find_sp_hom(g, CliqueParams(100, 31), _state=solver._CallState()) is None
+    _, bucket, scope = max(messages, key=lambda m: m[0])
+    assert len(scope) == 4
+    full = (1 << 100) - 1
+    tracemalloc.start()
+    try:
+        solver._message(bucket, scope, 100, full, solver._Deadline(None))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 100**3 * (8 + sys.getsizeof(full))
+
+
 def test_expansion_cache_is_read_only():
     """_message keeps the index arrays of each off-anchor expansion for
     reuse, so none of them may be written."""
@@ -878,7 +926,7 @@ def connected_graphs(draw, max_n=9):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(connected_graphs(), st.sampled_from([(6, 2), (8, 3), (10, 3), (12, 5), (14, 4), (16, 5), (32, 9)]))
+@given(connected_graphs(), st.sampled_from([(6, 2), (8, 3), (10, 3), (12, 5), (14, 4), (16, 5), (32, 9), (34, 11), (64, 19), (66, 21), (130, 43)]))
 def test_elimination_witness_is_fc_cbj_witness(g, pq):
     pr = CliqueParams(*pq)
     order, _ = solver._static_order(g.edges, g.n)
@@ -1002,7 +1050,8 @@ def small_multigraphs(draw, max_n=7):
 STREAM_CAP = 3000
 
 
-SEARCH_PQ = [(2, 1), (4, 1), (6, 2), (8, 3), (10, 3), (12, 5), (32, 9)]
+# Past p = 32 masks are uint64 (34, 64) and Python ints (66, 130).
+SEARCH_PQ = [(2, 1), (4, 1), (6, 2), (8, 3), (10, 3), (12, 5), (32, 9), (34, 11), (64, 19), (66, 21), (130, 43)]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -1043,10 +1092,9 @@ def assert_same_search(g, pq):
     full = (1 << pr.p) - 1
     order, roots = solver._static_order(g.edges, g.n)
     pinned = [1 if v in roots else full for v in range(g.n)]
-    elim_p = pr.p if pr.p <= solver._MAX_ELIMINATION_P else None
     runs = (
         (list(range(g.n)), [full] * g.n, None, STREAM_CAP),
-        (order, pinned, elim_p, 1),
+        (order, pinned, pr.p, 1),
     )
     for vertices, doms, p, cap in runs:
         got, want = CountingDeadline(), CountingDeadline()
@@ -1175,19 +1223,23 @@ class TestMinFillOrder:
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(connected_graphs(), st.sampled_from([(6, 2), (8, 3), (10, 3), (12, 5), (14, 4), (16, 5), (32, 9)]))
+@given(connected_graphs(), st.sampled_from([(6, 2), (8, 3), (10, 3), (12, 5), (14, 4), (16, 5), (32, 9), (34, 11), (64, 19), (66, 21), (130, 43)]))
 def test_min_fill_elimination_decides_as_fc_cbj(g, pq):
     pr = CliqueParams(*pq)
     _, sigma, tables = orders_and_tables(g, pq)
     parents = solver._plan(sigma, tables, pr.p)
     assume(parents is not None)
     colors = solver._eliminate(sigma, tables, parents, pr.p, solver._Deadline(None))
-    doms = [(1 << pr.p) - 1] * g.n
+    # FC-CBJ in vertex order with vertex 0 at color 0, which rotating
+    # every color makes no loss: a rejection at p = 130 costs 1/p of an
+    # unpinned one.
+    doms = [1] + [(1 << pr.p) - 1] * (g.n - 1)
     fc = next(solver._search(list(range(g.n)), doms, tables, solver._Deadline(None)), None)
     assert (colors is None) == (fc is None)
     if colors is not None:
         assert verify_hom(g, Homomorphism(pr, tuple(c for _, c in sorted(zip(sigma, colors)))))
-    if g.n <= 5:
+    # The oracle's grid has p**n cells: at most 2**25, as at p = 32, n = 5.
+    if g.n <= 5 and pr.p**g.n <= 1 << 25:
         assert (colors is not None) == oracle_colorable(g, pr.p, pr.q)
 
 
@@ -1208,8 +1260,9 @@ def reference_chi_c(g, q_max=None):
 
 class TestChiCNarrowOrder:
     GRAPHS = {nm: build(nm).graph for nm in catalog_names()}
-    # Cycles of length 9 to 15 hand off; their last rejections have p <= 32.
-    GRAPHS.update({f"negative_cycle({k})": negative_cycle(k) for k in range(2, 16)})
+    # Cycles of length 9 to 24 hand off; from length 16 their last
+    # rejections have p > 32, in uint64 masks.
+    GRAPHS.update({f"negative_cycle({k})": negative_cycle(k) for k in range(2, 25)})
 
     @pytest.mark.parametrize("q_max", [None, 10])
     def test_answers_match_static_order(self, monkeypatch, q_max):
@@ -1315,6 +1368,67 @@ class TestChiCNarrowOrder:
         monkeypatch.setattr(solver, "_min_fill_order", lambda *args: pytest.fail("min-fill order made"))
         assert find_sp_hom(negative_complete(8), (14, 2)) is None
         assert calls == [(True, False)]
+
+
+class TestNoSizeCliff:
+    """Elimination takes every p, in uint64 masks past 32 colors and in
+    Python ints past 64, so FC-CBJ never has to prove a rejection alone
+    there.  These count work, not seconds: when elimination stopped at
+    p = 32, chi_c(PETERSEN, 12) spent 40 million FC-CBJ nodes and
+    chi_c(negative_cycle(16)) 7 million."""
+
+    def work(self, monkeypatch):
+        """Counts _message calls, and keeps each chi_c call's _CallState,
+        whose ``nodes`` are the FC-CBJ nodes the call spent."""
+        work = {"messages": 0, "states": []}
+        real_message = solver._message
+
+        def message_spy(*args):
+            work["messages"] += 1
+            return real_message(*args)
+
+        class State(solver._CallState):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                work["states"].append(self)
+
+        monkeypatch.setattr(solver, "_message", message_spy)
+        monkeypatch.setattr(solver, "_CallState", State)
+        return work
+
+    def test_petersen_past_q_10(self, monkeypatch):
+        # Four of its rejections, at p from 34 to 38, are in uint64 masks.
+        # 119 messages and 2,248 nodes when written.
+        g = build("PETERSEN").graph
+        witness = chi_c(g, 10).witness
+        work = self.work(monkeypatch)
+        res = chi_c(g, 12)
+        assert res.value == Fraction(10, 3) and len(res.rejected) == 31
+        assert max(c.p for c in res.rejected) > 32
+        assert res.witness == witness and verify_hom(g, res.witness)
+        (state,) = work["states"]
+        assert work["messages"] <= 150 and state.nodes <= 3 * solver._CHECK_NODES
+
+    def test_long_negative_cycle(self, monkeypatch):
+        # Static elimination in Python-int masks rejects 82/40 and colors
+        # 80/39, with one message per eliminated vertex in each (78 when
+        # written).  The call spent 4,135 nodes: 39 on 2/1 and 2,048 on
+        # each of the others, which hand off at node _CHECK_NODES.
+        work = self.work(monkeypatch)
+        res = chi_c(negative_cycle(40))
+        assert res.value == Fraction(80, 39)
+        assert [(c.p, c.q) for c in res.rejected] == [(2, 1), (82, 40)]
+        assert verify_hom(negative_cycle(40), res.witness)
+        (state,) = work["states"]
+        assert work["messages"] <= 2 * 40 and state.nodes <= 3 * solver._CHECK_NODES
+
+    def test_negative_cycles_campaign_to_length_40(self):
+        from sgchrom.campaigns import run_campaign
+
+        rep = run_campaign("NEGATIVE_CYCLES", n_max=40)
+        assert rep.passed and rep.cases_checked == 39
 
 
 def random_cubic(rng, n):
