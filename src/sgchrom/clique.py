@@ -74,19 +74,15 @@ def antipode(params, i: int) -> int:
 
 @lru_cache(maxsize=None)
 def _neighbor_masks(pr: CliqueParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(positive, negative) neighbor bitmasks for every color."""
-    pos, neg = [], []
-    for c in range(pr.p):
-        mp = mn = 0
-        for j in range(pr.p):
-            d = cyclic_distance(pr.p, c, j)
-            if d <= pr.half - pr.q:
-                mp |= 1 << j
-            if d >= pr.q:
-                mn |= 1 << j
-        pos.append(mp)
-        neg.append(mn)
-    return tuple(pos), tuple(neg)
+    """(positive, negative) neighbor bitmasks for every color.
+
+    Adjacency depends only on cyclic distance, so color c's masks are
+    color 0's rotated by c."""
+    p, full = pr.p, (1 << pr.p) - 1
+    dist = [cyclic_distance(p, 0, j) for j in range(p)]
+    pos = sum(1 << j for j, d in enumerate(dist) if d <= pr.half - pr.q)
+    neg = sum(1 << j for j, d in enumerate(dist) if d >= pr.q)
+    return tuple(tuple((m << c | m >> (p - c)) & full for c in range(p)) for m in (pos, neg))
 
 
 def neighbor_mask(params, c: int, s: int) -> int:

@@ -14,9 +14,12 @@ never crosses components, so they need no set-up of their own.
 ``find_sp_hom`` decides colorability exactly by taking that first
 coloring with each root pinned to color 0.  When no list domains are
 given, its search may hand off to bucket elimination (Dechter 1999) in
-the reverse of the same order, at any p, provided that the
-elimination's largest join grid has at most 2**20 cells (a static plan
-fits).  Each elimination function is stored once per rotation class:
+the reverse of the same order, at any p, provided that the static plan
+fits.  A plan is the list of elimination scopes of one order; it
+depends only on the graph and the order, not on p.  One width rule,
+``_fits``, decides at each p whether a plan's largest join grid has at
+most 2**20 cells; a plan too wide even at p = 2 is None.  Each
+elimination function is stored once per rotation class:
 rotating every color is an automorphism of the clique, and only the
 roots are pinned, so a function is known from its values with its first
 argument at color 0.  That divides the work and the memory of
@@ -42,11 +45,15 @@ and returns the first colorable one together with a witness and the
 list of rejected fractions, so the answer is the minimum within the
 denominator budget.  Its probes all ask about one graph, so they share
 a ``_CallState``: one static order, the FC-CBJ nodes the call has
-spent, and a greedy min-fill order (Bodlaender & Koster 2010), made
-once per call, in which elimination may refute a probe.  That
-refutation runs only when the min-fill plan's largest scope is smaller
-than the static plan's, or only it fits the grid limit: on Petersen its
-grids have p**3 cells instead of p**4.
+spent, and two plans, each made at most once per call (a plain search
+makes its own state at its hand-off).  One is the static plan.  The
+other is a greedy min-fill order (Bodlaender & Koster 2010) with its
+plan, kept only when that plan's largest scope is smaller than the
+static plan's, or the static plan is None; in it, elimination may
+refute a probe at any p where it fits.  On Petersen its grids have
+p**3 cells instead of p**4.  The min-fill order stops, with no plan, as
+soon as it eliminates a vertex whose scope is too wide even at p = 2,
+so a graph of large treewidth costs only the steps up to that vertex.
 
 Two rules hand a search off (``core._embed`` and ``enumerate_homs``
 never do):
@@ -56,8 +63,8 @@ never do):
    its own node _CHECK_NODES (2,048), if a forward check has wiped out
    a domain by then; that node is the search's first clock checkpoint.
    It first tries the min-fill refutation when that is still pending
-   (rule 2) or no static plan fits, then, if one fits, returns static
-   elimination's answer.  Otherwise FC-CBJ carries on to the end.  On
+   (rule 2) or the static plan does not fit at p, then, if it fits,
+   returns static elimination's answer.  Otherwise FC-CBJ carries on to the end.  On
    the gadget graphs a plain search wipes out a domain within 32 nodes,
    and FC-CBJ nodes past 256 only delay the same elimination.  A probe
    hands off later: rule 2 already asks the min-fill refutation early,
@@ -70,7 +77,7 @@ never do):
    no dead end.  A colorable plain search would pay for the min-fill
    pass and then the static one (tried at every plain hand-off, the
    gadget benchmark's mean pass took 28 % longer), so a plain search
-   tries the refutation only where no static plan fits.
+   tries the refutation only where the static plan does not fit.
 
 Elimination never reads the pinned domains and every function commutes
 with rotation in any order, so an empty message in the min-fill order
@@ -85,7 +92,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -312,12 +318,13 @@ def _search(order, domains, tables, deadline, elim_p=None, state=None) -> Iterat
                     next_check = nodes + _CHECK_NODES
                     deadline.check_clock()
                     if nodes == hand_off and wiped and elim_p is not None:  # rule 1
-                        static = _plan(order, tables, elim_p)
-                        if pending or (state is None and static is None):
-                            if _narrow_refutes(order, tables, static, elim_p, deadline, state or _CallState()):
+                        plans = state or _CallState()  # a plain search plans once, here
+                        static = plans.static_plan(order, tables)
+                        if pending or (state is None and not _fits(static, elim_p)):
+                            if _narrow_refutes(order, tables, elim_p, deadline, plans):
                                 return
                             pending = False
-                        if static is not None:
+                        if _fits(static, elim_p):
                             sol = _eliminate(order, tables, static, elim_p, deadline)
                             if sol is not None:
                                 yield sol
@@ -354,7 +361,7 @@ def _search(order, domains, tables, deadline, elim_p=None, state=None) -> Iterat
                 if not conflicts:
                     return
                 if pending and nodes >= refute_at:
-                    if _narrow_refutes(order, tables, _plan(order, tables, elim_p), elim_p, deadline, state):
+                    if _narrow_refutes(order, tables, elim_p, deadline, state):
                         return
                     pending = False
                 target = conflicts.bit_length() - 1
@@ -374,8 +381,8 @@ def _search(order, domains, tables, deadline, elim_p=None, state=None) -> Iterat
 
 # -- bucket elimination ----------------------------------------------------
 
-# Largest join grid (cells, after the rotation quotient) elimination accepts;
-# a graph whose plan needs more stays on FC-CBJ.
+# Largest join grid (cells, after the rotation quotient) elimination accepts,
+# read by _fits alone; a graph whose plan needs more stays on FC-CBJ.
 _MAX_GRID_CELLS = 1 << 20
 # _expansion's read-only arrays by (p, k), filled by _message on first use.
 _EXPANSIONS: dict[tuple[int, int], tuple] = {}
@@ -392,16 +399,24 @@ def _mask_type(p: int):
     return np.min_scalar_type((1 << p) - 1)
 
 
-def _plan(order: Sequence[int], tables, p: int) -> Optional[list[list[int]]]:
+def _fits(plan, p: int) -> bool:
+    """Whether every join grid of ``plan`` (_plan's scopes, or None) has at
+    most _MAX_GRID_CELLS cells at p colors: the one place where p meets
+    the grid limit.  A scope's grid has p ** (len(scope) - 1) cells, since
+    its first member is held at color 0."""
+    return plan is not None and p ** (max(map(len, plan)) - 1) <= _MAX_GRID_CELLS
+
+
+def _plan(order: Sequence[int], tables) -> Optional[list[list[int]]]:
     """The scopes of bucket elimination in the reverse of ``order``, or None
-    when its largest join grid would exceed _MAX_GRID_CELLS.
+    once a scope is too wide to fit even at p = 2, so at any p.
 
     ``parents[j]`` lists, ascending, the earlier positions that the
     functions in position j's bucket range over: its earlier neighbors,
     plus the scope of every message sent to it.  Eliminating j sends the
     bucket of the latest member of ``parents[j]`` a message over the
-    others.  The join grid at j has p ** (len(parents[j]) - 1) cells,
-    since the first member is held at color 0.
+    others.  The scopes depend only on the graph and the order, not on p:
+    _fits says at which p they can be eliminated.
     """
     pos = {v: i for i, v in enumerate(order)}
     parents: list[set[int]] = [set() for _ in order]
@@ -413,17 +428,20 @@ def _plan(order: Sequence[int], tables, p: int) -> Optional[list[list[int]]]:
         if parents[j]:
             u = max(parents[j])
             parents[u] |= parents[j] - {u}
-            if p ** (len(parents[j]) - 1) > _MAX_GRID_CELLS:
+            if not _fits([parents[j]], 2):
                 return None
     return [sorted(s) for s in parents]
 
 
-def _min_fill_order(order: Sequence[int], tables) -> list[int]:
+def _min_fill_order(order: Sequence[int], tables) -> Optional[list[int]]:
     """The vertices of ``order`` in the reverse of a greedy min-fill
     elimination (Bodlaender & Koster, *Treewidth computations I. Upper
     bounds*, Inf. Comput. 208, 2010) of the graph whose adjacent pairs
     are the keys of ``tables``: ready for _plan and _send_messages,
-    which eliminate from the end.
+    which eliminate from the end.  None as soon as it eliminates a vertex
+    whose neighbors, its scope in _plan, are too wide to fit even at
+    p = 2: _plan would give None in that order, and the steps after it
+    could only widen the graph further.
 
     Each step eliminates a vertex that adds the fewest fill edges (pairs
     of its current neighbors not yet adjacent), which then join its
@@ -459,6 +477,8 @@ def _min_fill_order(order: Sequence[int], tables) -> list[int]:
             if ties:
                 v = min(ties)[1]
         ws = adj.pop(v)
+        if not _fits([ws], 2):
+            return None
         for w in ws:
             adj[w].discard(v)
         changed = set(ws)
@@ -480,39 +500,45 @@ def _min_fill_order(order: Sequence[int], tables) -> list[int]:
 
 
 class _CallState:
-    """What the probes of one chi_c call share about their one graph: its
-    static order and roots, the FC-CBJ nodes they have spent, and its
-    min-fill order once made."""
+    """What the searches of one graph share: its static order and roots,
+    the FC-CBJ nodes they have spent, and its elimination plans.  The
+    probes of a chi_c call share one, and a plain search makes its own at
+    its hand-off.  Plans do not depend on p, so each is made at most once
+    per call or search, on first need, and is False until then:
+    ``static``, _plan's scopes in the static order, and ``narrow``, the
+    min-fill order and its scopes when those are strictly narrower (a
+    smaller largest scope, or the static plan is None), else None."""
 
-    __slots__ = ("order", "roots", "nodes", "min_fill")
+    __slots__ = ("order", "roots", "nodes", "static", "narrow")
 
     def __init__(self):
         self.order: Optional[list[int]] = None
         self.roots: list[int] = []
         self.nodes = 0
-        self.min_fill: Optional[list[int]] = None
+        self.static = self.narrow = False
+
+    def static_plan(self, order, tables):
+        if self.static is False:
+            self.static = _plan(order, tables)
+        return self.static
 
 
-def _narrow_refutes(order, tables, static, p: int, deadline: _Deadline, state: _CallState) -> bool:
+def _narrow_refutes(order, tables, p: int, deadline: _Deadline, state: _CallState) -> bool:
     """True when bucket elimination in the graph's min-fill order proves
-    that it has no coloring; ``static`` is _plan's plan in ``order``, and
-    ``state.min_fill`` holds the min-fill order once made.
-
-    It eliminates only when the min-fill plan's largest scope is smaller
-    than the static plan's, or the static plan is too large and the
-    min-fill one is not.  False says nothing about colorability.  No plan
-    fits if p ** (d - 1) > _MAX_GRID_CELLS at the least degree d: any
-    order's first elimination joins a vertex with all its neighbors.
+    that it has no coloring.  It eliminates only when ``state.narrow``,
+    decided here on first use, holds a plan and that plan fits at p, so
+    where the static plan is narrower or as narrow, the refutation never
+    runs.  False says nothing about colorability.
     """
-    degree = Counter(a for (a, _) in tables)
-    if degree and p ** (min(degree.values()) - 1) > _MAX_GRID_CELLS:
+    if state.narrow is False:
+        static, sigma = state.static_plan(order, tables), _min_fill_order(order, tables)
+        scopes = None if sigma is None else _plan(sigma, tables)
+        narrower = scopes is not None and (static is None or max(map(len, scopes)) < max(map(len, static)))
+        state.narrow = (sigma, scopes) if narrower else None
+    if state.narrow is None or not _fits(state.narrow[1], p):
         return False
-    if state.min_fill is None:
-        state.min_fill = _min_fill_order(order, tables)
-    parents = _plan(state.min_fill, tables, p)
-    if parents is None or (static is not None and max(map(len, parents)) >= max(map(len, static))):
-        return False
-    return _send_messages(state.min_fill, tables, parents, p, deadline) is None
+    sigma, scopes = state.narrow
+    return _send_messages(sigma, tables, scopes, p, deadline) is None
 
 
 def _send_messages(order, tables, parents, p: int, deadline: _Deadline) -> Optional[list[list]]:

@@ -3,6 +3,7 @@ import pytest
 from sgchrom.clique import (
     LABEL_CYCLE,
     CliqueParams,
+    _neighbor_masks,
     adjacency,
     antipode,
     color_from_label,
@@ -39,6 +40,17 @@ class TestAdjacency:
                 for i in range(p):
                     for j in range(p):
                         assert adjacency((p, q), i, j) == oracle_adjacency(p, q, i, j)
+
+    def test_neighbor_masks_match_literal_definition(self):
+        # The masks rotate color 0's by each color; the oracle reads every
+        # pair, past the uint64 masks of elimination at p > 64.
+        for p in range(2, 81, 2):
+            for q in range(1, p // 2 + 1):
+                pos, neg = _neighbor_masks(CliqueParams(p, q))
+                for c in range(p):
+                    signs = [oracle_adjacency(p, q, c, j) for j in range(p)]
+                    assert pos[c] == sum(1 << j for j, s in enumerate(signs) if POS in s), (p, q, c)
+                    assert neg[c] == sum(1 << j for j, s in enumerate(signs) if NEG in s), (p, q, c)
 
     def test_examples_10_3(self):
         assert adjacency(P103, 0, 3) == frozenset({NEG})

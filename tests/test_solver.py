@@ -43,6 +43,17 @@ def negative_complete(n):
     return make_graph(n, [(u, v, NEG) for u in range(n) for v in range(u + 1, n)])
 
 
+def signed_torus(k):
+    """The k x k torus: each (i, j) has a negative edge to (i, j + 1) and an
+    edge to (i + 1, j), negative when (i + j) % 3 == 0, indices mod k."""
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            edges.append((i * k + j, i * k + (j + 1) % k, NEG))
+            edges.append((i * k + j, (i + 1) % k * k + j, NEG if (i + j) % 3 == 0 else POS))
+    return make_graph(k * k, edges)
+
+
 def small_classes(n_max=4, allow_digons=True):
     return list(enumerate_signed(EnumSpec(n_max=n_max, allow_digons=allow_digons)))
 
@@ -513,8 +524,8 @@ def decide_both(g, params):
     doms = [(1 << pr.p) - 1] * g.n
     for v in roots:
         doms[v] = 1
-    parents = solver._plan(order, tables, pr.p)
-    assert parents is not None
+    parents = solver._plan(order, tables)
+    assert solver._fits(parents, pr.p)
     found = (
         next(solver._search(order, doms, tables, solver._Deadline(None)), None),
         solver._eliminate(order, tables, parents, pr.p, solver._Deadline(None)),
@@ -616,7 +627,8 @@ class TestBucketElimination:
 
     def test_plan_over_the_cell_limit_stays_on_fc_cbj(self, monkeypatch):
         # K8 at 14/2 = 7 is an FC-CBJ search of more than 2,048 nodes, and
-        # eliminating its last vertex needs a grid of 14**6 cells > 2**20.
+        # eliminating its last vertex needs a grid of 14**6 cells > 2**20 in
+        # every order: neither the static plan nor the min-fill one fits.
         plans = []
         real = solver._plan
 
@@ -630,7 +642,7 @@ class TestBucketElimination:
         monkeypatch.setattr(solver, "_plan", spy)
         monkeypatch.setattr(solver, "_eliminate", fail)
         assert find_sp_hom(negative_complete(8), (14, 2)) is None
-        assert plans == [None]
+        assert len(plans) == 2 and not any(solver._fits(plan, 14) for plan in plans)
 
     def test_list_domains_stay_on_fc_cbj(self, monkeypatch):
         monkeypatch.setattr(solver, "_plan", lambda *args: pytest.fail("planned"))
@@ -930,7 +942,7 @@ def connected_graphs(draw, max_n=9):
 def test_elimination_witness_is_fc_cbj_witness(g, pq):
     pr = CliqueParams(*pq)
     order, _ = solver._static_order(g.edges, g.n)
-    assume(solver._plan(order, solver._pair_tables(g, pr), pr.p) is not None)
+    assume(solver._fits(solver._plan(order, solver._pair_tables(g, pr)), pr.p))
     fc, be = decide_both(g, pq)
     assert fc == be
     if be is not None:
@@ -975,12 +987,11 @@ def reference_search(order, domains, tables, deadline, elim_p=None):
                 next_check += solver._CHECK_NODES
                 deadline.check_clock()
                 if elim_p is not None and wiped and nodes == solver._HAND_OFF_NODES:
-                    static = solver._plan(order, tables, elim_p)
-                    if static is None and solver._narrow_refutes(
-                        order, tables, static, elim_p, deadline, solver._CallState()
-                    ):
+                    static = solver._plan(order, tables)
+                    fits = solver._fits(static, elim_p)
+                    if not fits and solver._narrow_refutes(order, tables, elim_p, deadline, solver._CallState()):
                         return
-                    if static is not None:
+                    if fits:
                         sol = solver._eliminate(order, tables, static, elim_p, deadline)
                         if sol is not None:
                             yield sol
@@ -1156,7 +1167,7 @@ def reference_min_fill_order(order, tables):
 
 
 def largest_scope(order, tables):
-    return max(map(len, solver._plan(order, tables, 1)))  # p = 1: no grid is too large
+    return max(map(len, solver._plan(order, tables)))
 
 
 def presentation(g, seed):
@@ -1201,6 +1212,27 @@ class TestMinFillOrder:
         # every remaining vertex per step (reference_min_fill_order) takes
         # seconds on the cycle.
         order, _, tables = orders_and_tables(g)
+        entries, pops = self.heap_work(monkeypatch)
+        sigma = solver._min_fill_order(order, tables)
+        assert sorted(sigma) == list(range(g.n))
+        assert g.n <= len(pops) <= len(entries) <= g.n + len(tables)
+
+    @pytest.mark.parametrize("g", [signed_torus(45), negative_complete(30)], ids=["torus45", "k30"])
+    def test_stops_once_no_plan_can_fit(self, monkeypatch, g):
+        # Once a vertex with more than 21 neighbors is eliminated, no plan
+        # in this order fits even at p = 2, so the order stops there: at
+        # K30's first step, and on the torus after 15,062 heap entries,
+        # where completing the order makes 43,958 (both when written).
+        tables = solver._pair_tables(g, P103)
+        order, _ = solver._static_order(g.edges, g.n)
+        entries, pops = self.heap_work(monkeypatch)
+        assert solver._min_fill_order(order, tables) is None
+        assert len(pops) <= len(entries) <= 2 * (g.n + len(tables))
+
+    @staticmethod
+    def heap_work(monkeypatch):
+        """The entries that solver's heap takes and the ones it pops, once
+        its heapq is replaced by a counting one."""
         entries, pops = [], []
 
         def heapify(h):
@@ -1217,9 +1249,7 @@ class TestMinFillOrder:
 
         counting = SimpleNamespace(heapify=heapify, heappush=heappush, heappop=heappop)
         monkeypatch.setattr(solver, "heapq", counting)
-        sigma = solver._min_fill_order(order, tables)
-        assert sorted(sigma) == list(range(g.n))
-        assert g.n <= len(pops) <= len(entries) <= g.n + len(tables)
+        return entries, pops
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -1227,8 +1257,8 @@ class TestMinFillOrder:
 def test_min_fill_elimination_decides_as_fc_cbj(g, pq):
     pr = CliqueParams(*pq)
     _, sigma, tables = orders_and_tables(g, pq)
-    parents = solver._plan(sigma, tables, pr.p)
-    assume(parents is not None)
+    parents = solver._plan(sigma, tables)
+    assume(solver._fits(parents, pr.p))
     colors = solver._eliminate(sigma, tables, parents, pr.p, solver._Deadline(None))
     # FC-CBJ in vertex order with vertex 0 at color 0, which rotating
     # every color makes no loss: a rejection at p = 130 costs 1/p of an
@@ -1241,6 +1271,40 @@ def test_min_fill_elimination_decides_as_fc_cbj(g, pq):
     # The oracle's grid has p**n cells: at most 2**25, as at p = 32, n = 5.
     if g.n <= 5 and pr.p**g.n <= 1 << 25:
         assert (colors is not None) == oracle_colorable(g, pr.p, pr.q)
+
+
+def reference_plan(order, tables, p):
+    """_plan as it was when it took p: the scopes, or None as soon as one
+    of them has a grid of more than _MAX_GRID_CELLS cells at p colors."""
+    pos = {v: i for i, v in enumerate(order)}
+    parents = [set() for _ in order]
+    for (a, b) in tables:
+        i, j = pos[a], pos[b]
+        if i < j:
+            parents[j].add(i)
+    for j in range(len(order) - 1, 0, -1):
+        if parents[j]:
+            u = max(parents[j])
+            parents[u] |= parents[j] - {u}
+            if p ** (len(parents[j]) - 1) > solver._MAX_GRID_CELLS:
+                return None
+    return [sorted(s) for s in parents]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(connected_graphs(), st.sampled_from(SEARCH_PQ))
+@example(negative_complete(6), (32, 9))  # 32**4 cells: exactly the limit
+@example(negative_complete(22), (2, 1))  # 2**20 cells: the widest plan at any p
+def test_plans_fit_where_per_p_plans_exist(g, pq):
+    # One plan per order, read at every p by _fits: in the static and the
+    # min-fill order it fits exactly where the per-p plan exists, with the
+    # same scopes.
+    pr = CliqueParams(*pq)
+    order, sigma, tables = orders_and_tables(g, pq)
+    for vertices in (order, sigma):
+        plan, want = solver._plan(vertices, tables), reference_plan(vertices, tables, pr.p)
+        assert solver._fits(plan, pr.p) == (want is not None)
+        assert want is None or plan == want
 
 
 def reference_chi_c(g, q_max=None):
@@ -1287,8 +1351,10 @@ class TestChiCNarrowOrder:
         # The order is made at most once per call.  It proves nine of
         # PETERSEN's rejections: 22/8, the probe in which the call's
         # total reaches _CHECK_NODES nodes, and the eight after it, each
-        # asked at its first dead end after that node.
-        assert set(made.values()) == {1} and refuted["PETERSEN"] == 9, (made, refuted)
+        # asked at its first dead end after that node.  CUBE_NEG's plan
+        # is narrower too; the cycles' is not, so they never eliminate in it.
+        assert set(made.values()) == {1}, made
+        assert +refuted == Counter({"PETERSEN": 9, "CUBE_NEG": 1 if q_max is None else 2}), refuted
 
     def test_few_campaign_calls_make_it(self, monkeypatch):
         # The node count is per call: three of BROOKS's 380 chi_c calls
@@ -1315,6 +1381,15 @@ class TestChiCNarrowOrder:
         assert find_sp_hom(build("PETERSEN").graph, CliqueParams(28, 9)) is None
         assert plans
 
+    def test_plans_once_per_order(self, monkeypatch):
+        # Plans do not depend on p: the call plans its static order and its
+        # min-fill order once each, though nine probes eliminate.
+        orders = []
+        real_plan = solver._plan
+        monkeypatch.setattr(solver, "_plan", lambda order, tables: orders.append(order) or real_plan(order, tables))
+        assert chi_c(build("PETERSEN").graph, 10).value == Fraction(10, 3)
+        assert len(orders) == 2 and orders[0] != orders[1]
+
     @pytest.mark.parametrize("p, q", [(32, 10), (22, 7)])
     def test_refutes_where_static_plan_is_too_large(self, monkeypatch, p, q):
         # The k = 1 DENSITY_FAMILY member: the static plan needs a scope of
@@ -1324,9 +1399,9 @@ class TestChiCNarrowOrder:
         calls = []
         real_refutes = solver._narrow_refutes
 
-        def refutes_spy(order, tables, static, *rest):
-            found = real_refutes(order, tables, static, *rest)
-            calls.append((static is None, found))
+        def refutes_spy(order, tables, p, deadline, state):
+            found = real_refutes(order, tables, p, deadline, state)
+            calls.append((not solver._fits(state.static, p), found))
             return found
 
         monkeypatch.setattr(solver, "_narrow_refutes", refutes_spy)
@@ -1342,32 +1417,15 @@ class TestChiCNarrowOrder:
         calls = []
         real_refutes = solver._narrow_refutes
 
-        def refutes_spy(order, tables, static, *rest):
-            found = real_refutes(order, tables, static, *rest)
-            calls.append((static is None, found))
+        def refutes_spy(order, tables, p, deadline, state):
+            found = real_refutes(order, tables, p, deadline, state)
+            calls.append((not solver._fits(state.static, p), found))
             return found
 
         monkeypatch.setattr(solver, "_narrow_refutes", refutes_spy)
         g = apply_indicator(hajos_graph(1))
         assert not getattr(solver, decide)(g, CliqueParams(p, q))
         assert calls == [(True, True)]
-
-    def test_no_order_made_where_no_plan_can_fit(self, monkeypatch):
-        # K8's least degree is 7, so at p = 14 every order's first
-        # elimination needs a grid of 14**6 cells > 2**20: the refutation
-        # is asked for and declines before making the min-fill order.
-        calls = []
-        real_refutes = solver._narrow_refutes
-
-        def refutes_spy(order, tables, static, *rest):
-            found = real_refutes(order, tables, static, *rest)
-            calls.append((static is None, found))
-            return found
-
-        monkeypatch.setattr(solver, "_narrow_refutes", refutes_spy)
-        monkeypatch.setattr(solver, "_min_fill_order", lambda *args: pytest.fail("min-fill order made"))
-        assert find_sp_hom(negative_complete(8), (14, 2)) is None
-        assert calls == [(True, False)]
 
 
 class TestNoSizeCliff:
@@ -1473,8 +1531,8 @@ class TestChiCHandOff:
         calls = []
         real_refutes, real_check = solver._narrow_refutes, solver._Deadline.check_clock
 
-        def refutes_spy(order, tables, static, p, *rest):
-            found = real_refutes(order, tables, static, p, *rest)
+        def refutes_spy(order, tables, p, *rest):
+            found = real_refutes(order, tables, p, *rest)
             calls.append((p, found))
             return found
 
@@ -1517,7 +1575,7 @@ class TestChiCHandOff:
         real_find = solver.find_sp_hom
 
         def find_spy(*args, _state=None, **kwargs):
-            order_made = _state is not None and _state.min_fill is not None
+            order_made = _state is not None and _state.narrow is not False
             asked = len(calls)
             hom = real_find(*args, _state=_state, **kwargs)
             refutations = sum(call != "checkpoint" for call in calls[asked:])
